@@ -15,7 +15,7 @@ import numpy as np
 from sthdg.air import RelaxationPlan, topological_block_order
 from sthdg.cases import build_case_mesh, make_layer1d
 from sthdg.hdg import assemble_blocks, condense
-from sthdg.sparsela import block_diag_inverse_scale
+from sthdg.solving import scaled_system
 
 case = make_layer1d()
 mesh = build_case_mesh(case, 16, 16, mode="all_at_once")
@@ -25,8 +25,7 @@ for nu in (0.0, 1e-2):
 
     # scale by the facet-block diagonal first; ordering works on the
     # scaled operator, which is what the multigrid cycle sees
-    scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
-    Ss, Hs = scaling.matrix, scaling.apply(cs.H)
+    Ss, Hs = scaled_system(cs)
 
     order = topological_block_order(Ss, cs.facet_block_size)
     print(f"nu = {nu:g}: {len(order.order)} blocks, "

@@ -13,13 +13,16 @@ V(0,1): restrict the residual, correct, then one post-relaxation sweep
 
 Also provides the block topological ordering used to expose the lower
 block-triangular structure of purely advective facet systems, and the
-relaxation catalog (Jacobi, forward GS, F-then-all GS, ordered block GS).
+relaxation schemes (Jacobi, forward GS, F-then-all GS, ordered block GS).
+All of them share one mechanism: a scheme is a list of stages, each a
+point set and a matrix M factored once at setup, and a sweep updates
+x[idx] += M^{-1} (b - A x)[idx] stage by stage.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,7 +45,6 @@ __all__ = [
     "ideal_restriction_dense",
     "galerkin_coarse",
     "topological_block_order",
-    "relax",
     "build_hierarchy",
     "AirHierarchy",
     "vcycle",
@@ -352,109 +354,89 @@ def topological_block_order(A, block_size=1, droptol=0.0):
 class RelaxationPlan:
     """Prebuilt data for one relaxation scheme on a fixed matrix.
 
-    Schemes: ``jacobi``, ``fgs`` (forward Gauss-Seidel), ``f_then_all_fgs``
-    (forward GS restricted to F-points, then over all points),
-    ``ordered_block_gs`` (forward block GS in a topological block order),
-    and ``f_exact`` (exact F-point solve; for two-level analysis).
-    All are written as x <- x + M^{-1} (b - A x) for a scheme-specific M.
+    Every scheme is a short list of stages ``(idx, solve)``, where ``idx``
+    selects the points a stage updates (all points, the F-points, or the
+    block permutation) and ``solve`` applies M^{-1} for a stage matrix M
+    factored once here (see :func:`_factored_solve`).  One sweep runs each
+    stage in turn as
+
+        r = b - A x;  x[idx] += M^{-1} r[idx]
+
+    Schemes and their stage matrices:
+
+    - ``jacobi``: diag A on all points;
+    - ``fgs`` (forward Gauss-Seidel): tril A on all points;
+    - ``f_then_all_fgs``: tril A_FF on the F-points, then tril A on all
+      points;
+    - ``ordered_block_gs`` (forward block GS in a topological block
+      order): the block lower triangle of A[perm][:, perm], applied at
+      ``perm``.
     """
 
-    def __init__(self, A, scheme, cf=None, block_size=1, ordering=None,
-                 omega=1.0):
+    def __init__(self, A, scheme, cf=None, block_size=1, ordering=None):
         A = validate_csr(A)
         self.A = A
-        self.scheme = scheme
-        self.omega = omega
-        n = A.shape[0]
+        every = slice(None)
         if scheme == "jacobi":
-            d = A.diagonal()
-            if np.any(d == 0):
-                raise ValueError("jacobi relaxation requires nonzero diagonal")
-            self._dinv = 1.0 / d
+            stages = [(every, sp.diags(A.diagonal()), 1)]
         elif scheme == "fgs":
-            self._solver = self._triangular_solver(sp.tril(A, format="csr"))
+            stages = [(every, sp.tril(A), 1)]
         elif scheme == "f_then_all_fgs":
             if cf is None:
                 raise ValueError("f_then_all_fgs requires a CF splitting")
-            self._f = cf.f_points
-            Aff = A[self._f][:, self._f]
-            self._fsolver = self._triangular_solver(sp.tril(Aff, format="csr"))
-            self._solver = self._triangular_solver(sp.tril(A, format="csr"))
-        elif scheme == "f_exact":
-            if cf is None:
-                raise ValueError("f_exact requires a CF splitting")
-            self._f = cf.f_points
-            Aff = A[self._f][:, self._f].tocsc()
-            self._flu = spla.splu(Aff)
+            f = cf.f_points
+            stages = [(f, sp.tril(A[f][:, f]), 1), (every, sp.tril(A), 1)]
         elif scheme == "ordered_block_gs":
             if ordering is None:
                 ordering = topological_block_order(A, block_size)
-            self.ordering = ordering
             b = ordering.block_size
-            blocks = ordering.order
-            perm = (blocks[:, None] * b + np.arange(b)).ravel()
-            self._perm = perm
-            self._iperm = np.argsort(perm)
-            Ap = A[perm][:, perm].tocsr()
-            coo = Ap.tocoo()
+            perm = (ordering.order[:, None] * b + np.arange(b)).ravel()
+            coo = A[perm][:, perm].tocoo()
             keep = (coo.row // b) >= (coo.col // b)  # block lower triangle
             M = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                              shape=Ap.shape)
-            self._msolver = self._make_block_solver(M, b)
+                              shape=A.shape)
+            stages = [(perm, M, b)]
         else:
             raise ValueError(f"unknown relaxation scheme {scheme!r}")
-
-    @staticmethod
-    def _triangular_solver(L):
-        L = L.tocsr()
-        if np.any(L.diagonal() == 0):
-            raise ValueError("Gauss-Seidel requires nonzero diagonal")
-
-        def solve(r):
-            return spla.spsolve_triangular(L, r, lower=True)
-
-        return solve
-
-    @staticmethod
-    def _make_block_solver(M, b):
-        if b == 1:
-            if np.any(M.diagonal() == 0):
-                raise ValueError("ordered GS requires nonzero diagonal")
-            Mc = M.tocsr()
-            return lambda r: spla.spsolve_triangular(Mc, r, lower=True)
-        lu = spla.splu(M.tocsc(), permc_spec="NATURAL",
-                       options={"SymmetricMode": False})
-        return lu.solve
+        self.stages = [(idx, _factored_solve(M, b)) for idx, M, b in stages]
 
     def apply(self, b, x):
         """One sweep; returns the updated iterate (input not modified)."""
-        A = self.A
-        if self.scheme == "jacobi":
-            return x + self.omega * self._dinv * (b - A @ x)
-        if self.scheme == "fgs":
-            return x + self._solver(b - A @ x)
-        if self.scheme == "f_then_all_fgs":
-            r = b - A @ x
-            x = x.copy()
-            x[self._f] += self._fsolver(r[self._f])
-            return x + self._solver(b - A @ x)
-        if self.scheme == "f_exact":
-            r = b - A @ x
-            x = x.copy()
-            x[self._f] += self._flu.solve(r[self._f])
-            return x
-        # ordered_block_gs
-        r = (b - A @ x)[self._perm]
-        return x + self._msolver(r)[self._iperm]
+        x = x.copy()
+        for idx, solve in self.stages:
+            r = b - self.A @ x
+            x[idx] += solve(r[idx])
+        return x
 
 
-def relax(A, b, x, scheme, cf=None, block_size=1, ordering=None, sweeps=1):
-    """Stand-alone relaxation sweeps (plans are prebuilt inside cycles)."""
-    plan = RelaxationPlan(A, scheme, cf=cf, block_size=block_size,
-                          ordering=ordering)
-    for _ in range(sweeps):
-        x = plan.apply(b, x)
-    return x
+def _factored_solve(M, block_size):
+    """Factor the stage matrix M once and return ``r -> M^{-1} r``.
+
+    A pointwise M (``block_size`` 1) is lower triangular or diagonal and is
+    stored as M = L D with L unit lower triangular, so a solve is one
+    forward substitution and a scaling.  This keeps nothing beyond M's own
+    entries, whereas a SuperLU factor holds storage sized for fill, many
+    times nnz(M); every level of every retained hierarchy holds its plans,
+    so that would multiply the solver's memory.  Block matrices are
+    factored by SuperLU in natural order, with partial pivoting inside
+    the diagonal blocks.
+    """
+    if block_size > 1:
+        lu = spla.splu(M.tocsc(), permc_spec="NATURAL",
+                       options={"SymmetricMode": False})
+        return lu.solve
+    d = M.diagonal()
+    if np.any(d == 0):
+        raise ValueError("relaxation requires a nonzero diagonal")
+    dinv = 1.0 / d
+    L = sp.csc_matrix(M, copy=True)
+    L.data *= np.repeat(dinv, np.diff(L.indptr))  # column scaling: M D^{-1}
+
+    def solve(r):
+        return spla.spsolve_triangular(L, r, lower=True,
+                                       unit_diagonal=True) * dinv
+
+    return solve
 
 
 # -- hierarchy ----------------------------------------------------------

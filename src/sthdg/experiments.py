@@ -25,8 +25,9 @@ from .amr import amr_loop
 from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
-from .solving import SolverParams, solve_condensed, solve_problem
-from .sparsela import block_diag_inverse_scale, write_matrix_market
+from .solving import (SolverParams, scaled_system, solve_condensed,
+                      solve_problem)
+from .sparsela import write_matrix_market
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
            "run_iterations", "run_stagnation", "run_amr",
@@ -126,6 +127,9 @@ class ExperimentConfig:
             raise ConfigError("[solver] maxiter: must be >= 1")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError("[experiment] fraction: must lie in (0, 1]")
+        if self.relaxation not in _SCHEMES:
+            raise ConfigError(
+                f"[solver] relaxation: must be one of {_SCHEMES}")
         self.nus = tuple(float(v) for v in self.nus)
         self.ladder = tuple((int(a), int(b)) for a, b in self.ladder)
 
@@ -336,11 +340,7 @@ def run_stagnation(cfg):
     sol = solve_condensed(cs, cfg.solver_params(),
                           callback=lambda x, k: iterates.append((k, x.copy())))
     resid = dict(sol.report.residuals)
-    if cfg.scale_blocks:
-        scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
-        Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-    else:
-        Ss, Hs = cs.S, cs.H
+    Ss, Hs = scaled_system(cs, cfg.scale_blocks)
     hnorm = np.linalg.norm(Hs)
 
     rows = []
@@ -437,8 +437,7 @@ def run_ordercheck(cfg):
         prob = replace(case.prob, nu=nu)
         mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
         cs = condense(assemble_blocks(mesh, cfg.p, prob))
-        scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
-        Ss, Hs = scaling.matrix, scaling.apply(cs.H)
+        Ss, Hs = scaled_system(cs)
         order = topological_block_order(Ss, cs.facet_block_size)
         plan = RelaxationPlan(Ss, "ordered_block_gs",
                               block_size=cs.facet_block_size, ordering=order)
@@ -468,11 +467,7 @@ def run_export(cfg):
     nx, nt = cfg.ladder[-1]
     mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
     cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
-    if cfg.scale_blocks:
-        scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
-        Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-    else:
-        Ss, Hs = cs.S, cs.H
+    Ss, Hs = scaled_system(cs, cfg.scale_blocks)
     write_matrix_market(out / "system.mtx", Ss)
     write_matrix_market(out / "rhs.mtx", Hs)
     paths = [out / "system.mtx", out / "rhs.mtx"]

@@ -51,7 +51,6 @@ __all__ = [
     "reconstruct",
     "st_l2_error",
     "project",
-    "eval_elements",
     "line_trace_evaluator",
     "lambda_dof_positions",
 ]
@@ -402,12 +401,6 @@ def reconstruct(cs, lam):
     rhs = cs.elem_F - np.matmul(cs.elem_Brect, lamloc[:, :, None])[:, :, 0]
     U = np.matmul(cs.elem_Ainv, rhs[:, :, None])[:, :, 0]
     return U.ravel()
-
-
-def eval_elements(mesh, p, U, ref_points):
-    """Evaluate the elementwise solution at reference points; (ne, npts)."""
-    phi = triangle_basis(p).eval(ref_points)
-    return np.einsum("qi,ei->eq", phi, U.reshape(mesh.n_elements, -1))
 
 
 def st_l2_error(mesh, p, U, exact, degree=None):

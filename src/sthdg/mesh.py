@@ -89,7 +89,7 @@ class SpaceTimeMesh:
     """
 
     def __init__(self, vertices, elements, slab_index, side_of_edge, mode, box,
-                 n_slabs=None, lineage=None, refinement_tree=None):
+                 n_slabs=None, lineage=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self.slab_index = np.asarray(slab_index, dtype=np.int64)
@@ -98,7 +98,6 @@ class SpaceTimeMesh:
         self.box = tuple(float(v) for v in box)
         self.n_slabs = int(n_slabs) if n_slabs is not None else int(self.slab_index.max()) + 1
         self.lineage = lineage
-        self.refinement_tree = refinement_tree
         self.neumann_sides = None  # set by classify_boundary
         self._build_connectivity()
 
@@ -205,8 +204,7 @@ class SpaceTimeMesh:
         """Same topology and labels with new coordinates."""
         m = SpaceTimeMesh(vertices, self.elements, self.slab_index,
                           self.side_of_edge, self.mode, self.box,
-                          n_slabs=self.n_slabs, lineage=self.lineage,
-                          refinement_tree=self.refinement_tree)
+                          n_slabs=self.n_slabs, lineage=self.lineage)
         if self.neumann_sides is not None:
             classify_boundary(m, self.neumann_sides)
         return m
@@ -331,9 +329,8 @@ def bisect_refine(mesh, marked, max_elements=None):
     :class:`RefinementBudgetError` if closure would push the element count
     past ``max_elements``.
 
-    The returned mesh carries ``lineage`` (for each new element, the id of
-    the element of ``mesh`` it descends from) and ``refinement_tree``
-    (list of ``(parent_id, (child ids...))`` records for split elements).
+    The returned mesh carries ``lineage``: for each new element, the id of
+    the element of ``mesh`` it descends from.
     """
     verts = [tuple(v) for v in mesh.vertices]
     elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
@@ -341,7 +338,6 @@ def bisect_refine(mesh, marked, max_elements=None):
     origin = {i: i for i in range(mesh.n_elements)}
     side = dict(mesh.side_of_edge)
     next_id = mesh.n_elements
-    children = {}
 
     edge2elems = {}
     for i, tri in elems.items():
@@ -368,7 +364,6 @@ def bisect_refine(mesh, marked, max_elements=None):
         for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
             key = (a, b) if a < b else (b, a)
             edge2elems.setdefault(key, set()).add(i)
-        return i
 
     def _midpoint(key):
         m = edge_mid.get(key)
@@ -391,10 +386,8 @@ def bisect_refine(mesh, marked, max_elements=None):
         m = _midpoint(key)
         sl, org = slab[i], origin[i]
         _drop(i)
-        c1 = _add((m, p, b1), sl, org)
-        c2 = _add((m, b2, p), sl, org)
-        children[i] = (c1, c2)
-        return c1, c2
+        _add((m, p, b1), sl, org)
+        _add((m, b2, p), sl, org)
 
     def _refine(i):
         # iterative closure: refine incompatible neighbors across the
@@ -433,23 +426,12 @@ def bisect_refine(mesh, marked, max_elements=None):
             _refine(i)
 
     ids = sorted(elems)
-    renum = {old: new for new, old in enumerate(ids)}
     new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
     new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
     lineage = np.asarray([origin[i] for i in ids], dtype=np.int64)
-
-    def _leaves(i):
-        if i in children:
-            out = []
-            for c in children[i]:
-                out.extend(_leaves(c))
-            return out
-        return [renum[i]]
-
-    tree = [(i, tuple(_leaves(i))) for i in sorted(children) if i < mesh.n_elements]
     out = SpaceTimeMesh(np.asarray(verts), new_elems, new_slab, side,
                         mesh.mode, mesh.box, n_slabs=mesh.n_slabs,
-                        lineage=lineage, refinement_tree=tree)
+                        lineage=lineage)
     if mesh.neumann_sides is not None:
         classify_boundary(out, mesh.neumann_sides)
     return out

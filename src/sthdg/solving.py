@@ -23,7 +23,7 @@ from .mesh import extract_slab
 from .sparsela import DenseLU, block_diag_inverse_scale
 
 __all__ = ["SolverParams", "SolverFailure", "CondensedSolve", "SlabSolution",
-           "solve_condensed", "solve_problem"]
+           "scaled_system", "solve_condensed", "solve_problem"]
 
 
 class SolverFailure(RuntimeError):
@@ -53,6 +53,18 @@ class CondensedSolve:
         return self.report.iterations if self.report is not None else 0
 
 
+def scaled_system(cs, scale_blocks=True):
+    """The facet system ``(S, H)`` the iteration sees.
+
+    With ``scale_blocks`` both are scaled on the left by the inverse facet
+    diagonal blocks; otherwise they are returned as condensed.
+    """
+    if not scale_blocks:
+        return cs.S, cs.H
+    scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
+    return scaling.matrix, scaling.apply(cs.H)
+
+
 def solve_condensed(cs, params=None, callback=None):
     """Solve one condensed facet system and reconstruct element unknowns.
 
@@ -71,11 +83,7 @@ def solve_condensed(cs, params=None, callback=None):
                               timings=timings)
     if params.method != "air_bicgstab":
         raise ValueError(f"unknown solver method {params.method!r}")
-    if params.scale_blocks:
-        scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
-        Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-    else:
-        Ss, Hs = cs.S, cs.H
+    Ss, Hs = scaled_system(cs, params.scale_blocks)
     air = params.air
     if air.block_size != cs.facet_block_size:
         air = replace(air, block_size=cs.facet_block_size)

@@ -16,12 +16,10 @@ import scipy.sparse as sp
 __all__ = [
     "SingularBlockError",
     "validate_csr",
-    "spmv",
     "spgemm",
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
     "DenseLU",
-    "dense_lu_solve",
     "write_matrix_market",
     "read_matrix_market",
 ]
@@ -46,22 +44,9 @@ def validate_csr(A):
     return A
 
 
-def spmv(A, x):
-    """Sparse matrix-vector product."""
-    return A @ x
-
-
-def spgemm(A, B, drop_tol=None):
-    """Sparse matrix-matrix product, optionally dropping small entries.
-
-    ``drop_tol`` is an absolute threshold; entries with magnitude <=
-    drop_tol are removed after the product.  None keeps everything
-    (exact Galerkin products).
-    """
+def spgemm(A, B):
+    """Exact sparse matrix-matrix product in canonical CSR (no dropping)."""
     C = sp.csr_matrix(A @ B)
-    if drop_tol is not None and drop_tol > 0:
-        C.data[np.abs(C.data) <= drop_tol] = 0.0
-        C.eliminate_zeros()
     C.sum_duplicates()
     C.sort_indices()
     return C
@@ -126,11 +111,6 @@ class DenseLU:
 
     def solve(self, b):
         return scipy.linalg.lu_solve((self._lu, self._piv), b)
-
-
-def dense_lu_solve(A, b):
-    """Solve a dense system once, with the singularity guard of DenseLU."""
-    return DenseLU(A).solve(b)
 
 
 # -- Matrix Market persistence ------------------------------------------

@@ -23,7 +23,7 @@ from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
 from sthdg.experiments import ExperimentConfig, run_converge, run_iterations
 from sthdg.hdg import assemble_blocks, condense, reconstruct, st_l2_error
 from sthdg.solving import SolverParams, solve_condensed, solve_problem
-from sthdg.sparsela import block_diag_inverse_scale, dense_lu_solve
+from sthdg.sparsela import DenseLU, block_diag_inverse_scale
 
 LADDER = (8, 16, 32, 64)
 
@@ -129,9 +129,9 @@ def test_condensed_solve_matches_monolithic():
         assert mesh.n_elements <= 64
         bs = assemble_blocks(mesh, p, case.prob)
         A, rhs = bs.monolithic()
-        mono = dense_lu_solve(A.toarray(), rhs)
+        mono = DenseLU(A.toarray()).solve(rhs)
         cs = condense(bs)
-        lam = dense_lu_solve(cs.S.toarray(), cs.H)
+        lam = DenseLU(cs.S.toarray()).solve(cs.H)
         U = reconstruct(cs, lam)
         nU = mesh.n_elements * bs.nV
         assert np.abs(U - mono[:nU]).max() <= 1e-10

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from sthdg.air import (AirParams, AirSetupError, C_POINT, CFSplitting,
                        F_POINT, RelaxationPlan, build_hierarchy,
                        galerkin_coarse, ideal_restriction_dense,
-                       lair_restriction, one_point_interpolation, relax,
+                       lair_restriction, one_point_interpolation,
                        rs_coarsen, strength_graph, topological_block_order,
                        vcycle)
 
@@ -145,7 +146,8 @@ def test_ordered_block_gs_exact_on_triangular_blocks():
     idx = (perm[:, None] * b + np.arange(b)).ravel()
     A = sp.csr_matrix(A[np.ix_(idx, idx)])
     rhs = rng.standard_normal(n)
-    x = relax(A, rhs, np.zeros(n), scheme="ordered_block_gs", block_size=b)
+    plan = RelaxationPlan(A, "ordered_block_gs", block_size=b)
+    x = plan.apply(rhs, np.zeros(n))
     assert np.linalg.norm(rhs - A @ x) < 1e-12 * np.linalg.norm(rhs)
 
 
@@ -154,8 +156,56 @@ def test_f_then_all_sweep_reduces_residual():
     cf = rs_coarsen(strength_graph(A, 0.2))
     rng = np.random.default_rng(13)
     b = rng.standard_normal(40)
-    x = relax(A, b, np.zeros(40), scheme="f_then_all_fgs", cf=cf)
+    x = RelaxationPlan(A, "f_then_all_fgs", cf=cf).apply(b, np.zeros(40))
     assert np.linalg.norm(b - A @ x) < 0.5 * np.linalg.norm(b)
+
+
+def _dense_sweep(A, b, x, scheme, cf, block_size):
+    """x + M^{-1} (b - A x) with each scheme's M built densely."""
+    x = x.copy()
+    if scheme == "jacobi":
+        return x + (b - A @ x) / np.diag(A)
+    if scheme == "f_then_all_fgs":
+        f = cf.f_points
+        x[f] += scipy.linalg.solve_triangular(
+            np.tril(A[np.ix_(f, f)]), (b - A @ x)[f], lower=True)
+    if scheme in ("fgs", "f_then_all_fgs"):
+        return x + scipy.linalg.solve_triangular(np.tril(A), b - A @ x,
+                                                 lower=True)
+    # ordered_block_gs: block lower triangle in topological block order
+    order = topological_block_order(sp.csr_matrix(A), block_size).order
+    perm = (order[:, None] * block_size + np.arange(block_size)).ravel()
+    blk = np.arange(len(b)) // block_size
+    M = np.where(blk[:, None] >= blk[None, :], A[np.ix_(perm, perm)], 0.0)
+    x[perm] += np.linalg.solve(M, (b - A @ x)[perm])
+    return x
+
+
+@pytest.mark.parametrize("scheme, block_size", [
+    ("jacobi", 1), ("fgs", 1), ("f_then_all_fgs", 1),
+    ("ordered_block_gs", 1), ("ordered_block_gs", 3)])
+def test_relaxation_sweep_matches_dense_oracle(scheme, block_size):
+    rng = np.random.default_rng(17)
+    n = 36
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
+    A += np.diag(rng.random(n) + 2.0)
+    cf = rs_coarsen(strength_graph(sp.csr_matrix(A), 0.2))
+    b = rng.standard_normal(n)
+    x = rng.standard_normal(n)
+    plan = RelaxationPlan(sp.csr_matrix(A), scheme, cf=cf,
+                          block_size=block_size)
+    x0 = x.copy()
+    got = plan.apply(b, x)
+    assert np.array_equal(x, x0)  # apply returns a new array
+    want = _dense_sweep(A, b, x, scheme, cf, block_size)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_relaxation_rejects_zero_diagonal():
+    A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    for scheme in ("jacobi", "fgs", "ordered_block_gs"):
+        with pytest.raises(ValueError):
+            RelaxationPlan(A, scheme)
 
 
 def test_hierarchy_on_chain_is_exact_for_triangular():

@@ -162,6 +162,14 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_unknown_relaxation_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[solver]\nrelaxation = gauss\n")
+    code = main(["converge", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert "relaxation" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exit_3(tmp_path, capsys):
     short = tmp_path / "short.ini"
     short.write_text("[solver]\nmaxiter = 2\n")

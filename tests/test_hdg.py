@@ -6,7 +6,7 @@ from sthdg.hdg import (assemble_blocks, condense, default_penalty,
                        lambda_dof_positions, line_trace_evaluator, project,
                        reconstruct, st_l2_error)
 from sthdg.mesh import build_st_mesh, classify_boundary
-from sthdg.sparsela import dense_lu_solve
+from sthdg.sparsela import DenseLU
 
 
 def small_system(p=1, nx=3, nt=3, nu=0.05, deformed=False):
@@ -35,7 +35,7 @@ def test_polynomial_exactness_dense(p, deformed):
     """A degree-p manufactured solution is reproduced to roundoff."""
     case, mesh, bs = small_system(p, deformed=deformed)
     A, rhs = bs.monolithic()
-    sol = dense_lu_solve(A.toarray(), rhs)
+    sol = DenseLU(A.toarray()).solve(rhs)
     nU = mesh.n_elements * bs.nV
     err = st_l2_error(mesh, p, sol[:nU], case.prob.exact)
     assert err < 1e-10
@@ -46,9 +46,9 @@ def test_schur_matches_monolithic(p):
     """Condensation + reconstruction equals the one-shot dense solve."""
     case, mesh, bs = small_system(p, nx=4, nt=4)
     A, rhs = bs.monolithic()
-    mono = dense_lu_solve(A.toarray(), rhs)
+    mono = DenseLU(A.toarray()).solve(rhs)
     cs = condense(bs)
-    lam = dense_lu_solve(cs.S.toarray(), cs.H)
+    lam = DenseLU(cs.S.toarray()).solve(cs.H)
     U = reconstruct(cs, lam)
     nU = mesh.n_elements * bs.nV
     assert np.allclose(U, mono[:nU], atol=1e-10)
@@ -113,7 +113,7 @@ def test_upwind_only_horizontal_coupling():
 def test_reconstruct_solves_element_systems():
     case, mesh, bs = small_system(2, nx=3, nt=2)
     cs = condense(bs)
-    lam = dense_lu_solve(cs.S.toarray(), cs.H)
+    lam = DenseLU(cs.S.toarray()).solve(cs.H)
     U = reconstruct(cs, lam)
     # residual of the element block equations at the reconstructed U
     A, rhs = bs.monolithic()

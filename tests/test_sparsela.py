@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from sthdg.sparsela import (DenseLU, SingularBlockError,
-                            block_diag_inverse_scale, dense_lu_solve,
-                            read_matrix_market, spgemm, spmv, validate_csr,
-                            write_matrix_market)
+                            block_diag_inverse_scale, read_matrix_market,
+                            spgemm, validate_csr, write_matrix_market)
 
 
 def random_csr(rng, m, n, density=0.3):
@@ -20,20 +19,6 @@ def test_spgemm_matches_dense():
     B = random_csr(rng, 5, 6)
     C = spgemm(A, B)
     assert np.allclose(C.toarray(), A.toarray() @ B.toarray())
-
-
-def test_spgemm_drop_tolerance():
-    A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 1e-14]]))
-    B = sp.csr_matrix(np.eye(2))
-    C = spgemm(A, B, drop_tol=1e-12)
-    assert C.nnz == 1
-
-
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(2)
-    A = random_csr(rng, 6, 6)
-    x = rng.random(6)
-    assert np.allclose(spmv(A, x), A.toarray() @ x)
 
 
 def test_block_scaling_unit_diagonal_blocks():
@@ -62,7 +47,6 @@ def test_dense_lu_roundtrip_and_singular():
     A = rng.random((8, 8)) + 8 * np.eye(8)
     b = rng.random(8)
     assert np.allclose(DenseLU(A).solve(b), np.linalg.solve(A, b))
-    assert np.allclose(dense_lu_solve(A, b), np.linalg.solve(A, b))
     with pytest.raises(SingularBlockError):
         DenseLU(np.zeros((3, 3)))
 
