@@ -6,7 +6,9 @@ of static condensation: restriction approximates the ideal operator
     R_ideal = [-A_cf A_ff^{-1},  I]
 
 row by row from local neighborhood solves (distance-one lAIR), while
-interpolation is the cheap one-point operator.  Coarse operators are
+interpolation is the cheap one-point operator.  The neighborhood systems
+are gathered with :func:`~sthdg.sparsela.csr_gather` and solved stacked,
+one solve per neighborhood size.  Coarse operators are
 Galerkin triple products with independently built R and P.  The cycle is
 V(0,1): restrict the residual, correct, then one post-relaxation sweep
 (forward Gauss-Seidel on F-points followed by all points, by default).
@@ -30,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .sparsela import DenseLU, spgemm, validate_csr
+from .sparsela import DenseLU, csr_gather, spgemm, validate_csr
 
 __all__ = [
     "AirParams",
@@ -101,20 +103,13 @@ def strength_graph(A, theta):
     """Magnitude-based strength of connection (nonsymmetric-safe)."""
     A = validate_csr(A)
     n = A.shape[0]
-    C = A.copy().tolil()
-    C.setdiag(0.0)
-    C = C.tocsr()
-    C.eliminate_zeros()
-    dat = np.abs(C.data)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    off = (A.indices != rows) & (A.data != 0)
+    rows, cols, dat = rows[off], A.indices[off], np.abs(A.data[off])
     rowmax = np.zeros(n)
-    counts = np.diff(C.indptr)
-    nz = counts > 0
-    if nz.any():
-        rowmax[nz] = np.maximum.reduceat(dat, C.indptr[:-1][nz])
-    keep = dat >= theta * np.repeat(rowmax, counts) - 1e-300
-    mask = sp.csr_matrix((keep.astype(float), C.indices, C.indptr), shape=(n, n))
-    G = validate_csr(abs(C).multiply(mask))
-    G.eliminate_zeros()
+    np.maximum.at(rowmax, rows, dat)
+    keep = dat >= theta * rowmax[rows] - 1e-300
+    G = sp.csr_matrix((dat[keep], (rows[keep], cols[keep])), shape=(n, n))
     return StrengthGraph(csr=G, theta=float(theta))
 
 
@@ -172,47 +167,44 @@ def lair_restriction(A, cf, theta=0.3):
     """Distance-one local AIR restriction (nc x n).
 
     Each C-point row solves a small transposed neighborhood system so
-    that (R A) vanishes on the strong F-neighborhood of the C-point;
-    singular neighborhoods fall back to a least-squares solution (the
-    ``fallbacks`` attribute on the result counts them).
+    that (R A) vanishes on the strong F-neighborhood of the C-point.  The
+    systems of all C-points with one neighborhood size are solved stacked;
+    only if that raises (a member is exactly singular) is each solved
+    alone, singular ones by least squares (``fallbacks`` on the result).
     """
     A = validate_csr(A)
     gR = strength_graph(A, theta).csr
-    labels = cf.labels
     cpts = cf.c_points
-    ap, ai, ad = A.indptr, A.indices, A.data
-
-    def _row_at(row, cols):
-        # entries of A[row, cols] for sorted cols, absent -> 0
-        lo, hi = ap[row], ap[row + 1]
-        idx = np.searchsorted(cols, ai[lo:hi])
-        out = np.zeros(len(cols))
-        ok = idx < len(cols)
-        ok[ok] &= cols[idx[ok]] == ai[lo:hi][ok]
-        out[idx[ok]] = ad[lo:hi][ok]
-        return out
-
-    rows, cols, vals = [], [], []
+    nc = len(cpts)
+    # strong F-neighbors of every C-point, concatenated row by row
+    gC = gR[cpts]
+    isf = cf.labels[gC.indices] == F_POINT
+    owner = np.repeat(np.arange(nc), np.diff(gC.indptr))[isf]
+    nbr = gC.indices[isf]
+    size = np.bincount(owner, minlength=nc)
+    start = np.cumsum(size) - size
+    w = np.empty(len(nbr))
     fallbacks = 0
-    for r, i in enumerate(cpts):
-        nbr = gR.indices[gR.indptr[i]:gR.indptr[i + 1]]
-        nbr = nbr[labels[nbr] == F_POINT]
-        if len(nbr):
-            Ann = np.array([_row_at(j, nbr) for j in nbr])
-            ain = _row_at(i, nbr)
-            try:
-                w = np.linalg.solve(Ann.T, -ain)
-            except np.linalg.LinAlgError:
-                w = np.linalg.lstsq(Ann.T, -ain, rcond=1e-12)[0]
-                fallbacks += 1
-            rows.extend([r] * len(nbr))
-            cols.extend(nbr.tolist())
-            vals.extend(w.tolist())
-        rows.append(r)
-        cols.append(i)
-        vals.append(1.0)
-    R = sp.csr_matrix((vals, (rows, cols)), shape=(len(cpts), A.shape[0]))
-    R = validate_csr(R)
+    for m in np.unique(size[size > 0]):
+        grp = np.nonzero(size == m)[0]
+        slots = start[grp][:, None] + np.arange(m)
+        N = nbr[slots]
+        AnnT = csr_gather(A, N[:, None, :], N[:, :, None])
+        ain = csr_gather(A, cpts[grp][:, None], N)
+        try:
+            w[slots] = np.linalg.solve(AnnT, -ain[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for k in range(len(grp)):
+                try:
+                    w[slots[k]] = np.linalg.solve(AnnT[k], -ain[k])
+                except np.linalg.LinAlgError:
+                    w[slots[k]] = np.linalg.lstsq(AnnT[k], -ain[k],
+                                                  rcond=1e-12)[0]
+                    fallbacks += 1
+    rows = np.concatenate([owner, np.arange(nc)])
+    cols = np.concatenate([nbr, cpts])
+    vals = np.concatenate([w, np.ones(nc)])
+    R = validate_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nc, A.shape[0])))
     R.fallbacks = fallbacks
     return R
 
@@ -224,30 +216,19 @@ def one_point_interpolation(A, cf, g: StrengthGraph):
     labels = cf.labels
     S = g.csr
     si, sd = S.indices, np.abs(S.data)
-    counts = np.diff(S.indptr)
-    nonempty = counts > 0
+    rows = np.repeat(np.arange(n), np.diff(S.indptr))
     # per-entry weight; non-C neighbors can never win
     w = np.where(labels[si] == C_POINT, sd, -1.0)
     rowmax = np.full(n, -1.0)
-    if nonempty.any():
-        rowmax[nonempty] = np.maximum.reduceat(w, S.indptr[:-1][nonempty])
+    np.maximum.at(rowmax, rows, w)
     # ties resolve to the lowest column index among the maximizers
-    win = (w == np.repeat(rowmax, counts)) & (w >= 0.0)
-    cand = np.where(win, si, n)
+    cand = np.where((w == rowmax[rows]) & (w >= 0.0), si, n)
     best = np.full(n, n)
-    if nonempty.any():
-        best[nonempty] = np.minimum.reduceat(cand, S.indptr[:-1][nonempty])
-    rows = []
-    cols = []
-    for i in range(n):
-        if labels[i] == C_POINT:
-            rows.append(i)
-            cols.append(cf.coarse_index[i])
-        elif best[i] < n:
-            rows.append(i)
-            cols.append(cf.coarse_index[best[i]])
-        # else isolated F-point: no interpolation
-    P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+    np.minimum.at(best, rows, cand)
+    # C-points map to themselves; isolated F-points (best == n) get no entry
+    src = np.where(labels == C_POINT, np.arange(n), best)
+    ip = np.nonzero(src < n)[0]
+    P = sp.csr_matrix((np.ones(len(ip)), (ip, cf.coarse_index[src[ip]])),
                       shape=(n, cf.n_coarse))
     return validate_csr(P)
 

@@ -186,6 +186,10 @@ class ExperimentConfig:
                     val = tuple(float(v) for v in val.split(","))
                 elif key == "ladder":
                     val = tuple(_parse_ladder(val))
+                elif isinstance(kw[key], bool):
+                    if val.lower() not in cp.BOOLEAN_STATES:
+                        raise ConfigError(f"{key}: not a boolean: {val!r}")
+                    val = cp.BOOLEAN_STATES[val.lower()]
                 else:
                     val = type(kw[key])(val)
             kw[key] = val

@@ -455,20 +455,16 @@ def extract_slab(mesh, n):
     sub_elems = vmap[mesh.elements[keep]]
     in_slab = np.zeros(mesh.n_elements, dtype=bool)
     in_slab[keep] = True
-    side = {}
-    for f in range(mesh.n_facets):
-        e0, e1 = mesh.facet_elems[f]
-        a0 = in_slab[e0] if e0 >= 0 else False
-        a1 = in_slab[e1] if e1 >= 0 else False
-        if a0 == a1:
-            continue  # interior to the slab, or outside it entirely
-        if (a0 and e1 >= 0) or (a1 and e0 >= 0):
-            other = int(mesh.slab_index[e1 if a0 else e0])
-            name = "tmin" if other < n else "tmax"
-        else:
-            name = SIDE_NAMES[mesh.boundary_sides[f]]
-        a, b = (int(vmap[v]) for v in mesh.facets[f])
-        side[(a, b) if a < b else (b, a)] = _SIDE_ID[name]
+    fe = mesh.facet_elems
+    inside = (fe >= 0) & in_slab[fe]
+    f = np.nonzero(inside[:, 0] != inside[:, 1])[0]  # facets on the slab boundary
+    other = np.where(inside[f, 0], fe[f, 1], fe[f, 0])
+    sid = np.where(other < 0, mesh.boundary_sides[f],
+                   np.where(mesh.slab_index[other] < n,
+                            _SIDE_ID["tmin"], _SIDE_ID["tmax"]))
+    ab = vmap[mesh.facets[f]]
+    side = dict(zip(zip(ab.min(axis=1).tolist(), ab.max(axis=1).tolist()),
+                    sid.tolist()))
     sub = SpaceTimeMesh(mesh.vertices[vids], sub_elems,
                         np.full(len(keep), n, dtype=np.int64), side,
                         "slab", mesh.box, n_slabs=mesh.n_slabs)

@@ -1,8 +1,8 @@
 """Sparse/dense linear algebra helpers shared by assembly and solvers.
 
-Thin, contract-enforcing wrappers around numpy/scipy: CSR validation,
-products, block-diagonal scaling, guarded dense LU, and Matrix Market
-persistence with full-precision (17 significant digit) round-trip.
+Thin, contract-enforcing wrappers around numpy/scipy: CSR validation and
+entry lookup, products, block-diagonal scaling, guarded dense LU, and Matrix
+Market persistence with full-precision (17 significant digit) round-trip.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import scipy.sparse as sp
 __all__ = [
     "SingularBlockError",
     "validate_csr",
+    "csr_gather",
     "spgemm",
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
@@ -44,6 +45,25 @@ def validate_csr(A):
     return A
 
 
+def csr_gather(A, rows, cols):
+    """Entries ``A[rows, cols]`` (broadcast index arrays), 0 where absent.
+
+    One binary search of the keys ``row * ncols + col`` in the row-major
+    entry order of ``A``, which must be canonical (see :func:`validate_csr`).
+    """
+    rows, cols = np.broadcast_arrays(rows, cols)
+    out = np.zeros(rows.shape)
+    if A.nnz:
+        ncols = A.shape[1]
+        rowid = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        keys = rowid * ncols + A.indices
+        want = rows.astype(np.int64) * ncols + cols
+        pos = np.minimum(np.searchsorted(keys, want), A.nnz - 1)
+        hit = keys[pos] == want
+        out[hit] = A.data[pos[hit]]
+    return out
+
+
 def spgemm(A, B):
     """Exact sparse matrix-matrix product in canonical CSR (no dropping)."""
     C = sp.csr_matrix(A @ B)
@@ -66,10 +86,8 @@ class BlockDiagonalScaling:
         if A.shape[1] != n or n % b != 0:
             raise ValueError("matrix must be square with size divisible by b")
         nb = n // b
-        dense = np.zeros((nb, b, b))
-        Ad = A.tocsr()
-        for k in range(nb):
-            dense[k] = Ad[k * b:(k + 1) * b, k * b:(k + 1) * b].toarray()
+        idx = np.arange(n).reshape(nb, b)
+        dense = csr_gather(A, idx[:, :, None], idx[:, None, :])
         dets = np.abs(np.linalg.det(dense))
         scale = np.maximum(np.abs(dense).reshape(nb, -1).max(axis=1), 1e-300) ** b
         bad = np.nonzero(dets < 1e-14 * scale)[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from sthdg.air import (AirParams, AirSetupError, C_POINT, CFSplitting,
                        F_POINT, RelaxationPlan, build_hierarchy,
@@ -80,6 +81,49 @@ def test_lair_zeroes_strong_f_columns_of_ra():
         nbrs = A.indices[A.indptr[i]:A.indptr[i + 1]]
         f_nbrs = nbrs[cf.labels[nbrs] == F_POINT]
         assert np.abs(RA[r, f_nbrs]).max() < 1e-10 if len(f_nbrs) else True
+
+
+def test_lair_singular_neighbourhood_falls_back_alone():
+    # C-points 6, 7, 8 each see two F-points; only the block of 6 is singular
+    A = np.zeros((9, 9))
+    A[np.arange(9), np.arange(9)] = [1.0, 1.0, 2.0, 3.0, 3.0, 2.0, 4.0, 4.0, 5.0]
+    A[0, 1] = A[1, 0] = 1.0  # [[1, 1], [1, 1]]
+    A[2, 3], A[3, 2] = 0.5, 1.0
+    A[4, 5], A[5, 4] = -1.0, 0.5
+    A[2, 7] = A[5, 8] = -0.2
+    nbrs = {6: [0, 1], 7: [2, 3], 8: [4, 5]}
+    A[6, nbrs[6]] = [-1.0, -0.5]
+    A[7, nbrs[7]] = [-0.7, -1.0]
+    A[8, nbrs[8]] = [0.6, -1.2]
+    cf = splitting([F_POINT] * 6 + [C_POINT] * 3)
+    R = lair_restriction(sp.csr_matrix(A), cf, theta=0.0)
+    assert R.fallbacks == 1
+    Rd = R.toarray()
+    RA = Rd @ A
+    for r, i in ((1, 7), (2, 8)):
+        nbr = nbrs[i]
+        w = np.linalg.solve(A[np.ix_(nbr, nbr)].T, -A[i, nbr])
+        assert np.array_equal(Rd[r, nbr], w)
+        assert np.abs(RA[r, nbr]).max() < 1e-14
+    assert np.all(np.isfinite(Rd[0])) and Rd[0, 6] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(is_c=st.lists(st.booleans(), min_size=2, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+def test_lair_with_full_neighbourhoods_is_ideal(is_c, seed):
+    # every off-diagonal entry nonzero and theta_r = 0: each C-point's
+    # neighbourhood is all of F, so lAIR solves the ideal restriction
+    n = len(is_c)
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    np.fill_diagonal(A, np.abs(A).sum(axis=1) + 1.0)
+    labels = np.where(is_c, C_POINT, F_POINT).astype(np.int8)
+    R = lair_restriction(sp.csr_matrix(A), splitting(labels), theta=0.0)
+    assert R.fallbacks == 0
+    ideal = ideal_restriction_dense(A, labels)
+    assert R.shape == ideal.shape
+    assert np.abs(R.toarray() - ideal).max(initial=0.0) <= 1e-10
 
 
 def test_ideal_restriction_zeroes_c_error():

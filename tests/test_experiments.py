@@ -47,6 +47,16 @@ def test_config_from_ini_and_overrides(tmp_path):
         ExperimentConfig.from_ini(ini, overrides={"bogus": 1})
 
 
+def test_config_bool_overrides_parse_words():
+    c = ExperimentConfig.from_ini(overrides={"scale_blocks": "false",
+                                             "deformed": "no"})
+    assert c.scale_blocks is False and c.deformed is False
+    c = ExperimentConfig.from_ini(overrides={"scale_blocks": "On"})
+    assert c.scale_blocks is True
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_ini(overrides={"scale_blocks": "maybe"})
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nfancy = yes\n")

@@ -1,0 +1,274 @@
+"""The batched CSR readers against the loop versions they replaced.
+
+``strength_graph``, ``lair_restriction`` and the diagonal block
+extraction of ``BlockDiagonalScaling`` read entries of a CSR matrix
+through :func:`sthdg.sparsela.csr_gather`, and ``one_point_interpolation``
+builds P without a per-row loop.  The row-by-row and block-by-block
+versions they replaced are kept here as oracles, and the new code must
+reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
+fallback count.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from sthdg.air import (C_POINT, F_POINT, AirParams, CFSplitting,
+                       StrengthGraph, build_hierarchy, lair_restriction,
+                       one_point_interpolation, rs_coarsen, strength_graph)
+from sthdg.cases import build_case_mesh, case_by_name
+from sthdg.hdg import assemble_blocks, condense
+from sthdg.solving import scaled_system
+from sthdg.sparsela import BlockDiagonalScaling, csr_gather, validate_csr
+
+
+# -- oracles: the loop versions -------------------------------------------
+
+
+def strength_graph_loop(A, theta):
+    A = validate_csr(A)
+    n = A.shape[0]
+    C = A.copy().tolil()
+    C.setdiag(0.0)
+    C = C.tocsr()
+    C.eliminate_zeros()
+    dat = np.abs(C.data)
+    rowmax = np.zeros(n)
+    counts = np.diff(C.indptr)
+    nz = counts > 0
+    if nz.any():
+        rowmax[nz] = np.maximum.reduceat(dat, C.indptr[:-1][nz])
+    keep = dat >= theta * np.repeat(rowmax, counts) - 1e-300
+    mask = sp.csr_matrix((keep.astype(float), C.indices, C.indptr), shape=(n, n))
+    G = validate_csr(abs(C).multiply(mask))
+    G.eliminate_zeros()
+    return StrengthGraph(csr=G, theta=float(theta))
+
+
+def lair_restriction_loop(A, cf, theta=0.3):
+    A = validate_csr(A)
+    gR = strength_graph_loop(A, theta).csr
+    labels = cf.labels
+    cpts = cf.c_points
+    ap, ai, ad = A.indptr, A.indices, A.data
+
+    def _row_at(row, cols):
+        lo, hi = ap[row], ap[row + 1]
+        idx = np.searchsorted(cols, ai[lo:hi])
+        out = np.zeros(len(cols))
+        ok = idx < len(cols)
+        ok[ok] &= cols[idx[ok]] == ai[lo:hi][ok]
+        out[idx[ok]] = ad[lo:hi][ok]
+        return out
+
+    rows, cols, vals = [], [], []
+    fallbacks = 0
+    for r, i in enumerate(cpts):
+        nbr = gR.indices[gR.indptr[i]:gR.indptr[i + 1]]
+        nbr = nbr[labels[nbr] == F_POINT]
+        if len(nbr):
+            Ann = np.array([_row_at(j, nbr) for j in nbr])
+            ain = _row_at(i, nbr)
+            try:
+                w = np.linalg.solve(Ann.T, -ain)
+            except np.linalg.LinAlgError:
+                w = np.linalg.lstsq(Ann.T, -ain, rcond=1e-12)[0]
+                fallbacks += 1
+            rows.extend([r] * len(nbr))
+            cols.extend(nbr.tolist())
+            vals.extend(w.tolist())
+        rows.append(r)
+        cols.append(i)
+        vals.append(1.0)
+    R = sp.csr_matrix((vals, (rows, cols)), shape=(len(cpts), A.shape[0]))
+    R = validate_csr(R)
+    R.fallbacks = fallbacks
+    return R
+
+
+def one_point_interpolation_loop(A, cf, g):
+    A = validate_csr(A)
+    n = A.shape[0]
+    labels = cf.labels
+    S = g.csr
+    si, sd = S.indices, np.abs(S.data)
+    counts = np.diff(S.indptr)
+    nonempty = counts > 0
+    w = np.where(labels[si] == C_POINT, sd, -1.0)
+    rowmax = np.full(n, -1.0)
+    if nonempty.any():
+        rowmax[nonempty] = np.maximum.reduceat(w, S.indptr[:-1][nonempty])
+    win = (w == np.repeat(rowmax, counts)) & (w >= 0.0)
+    cand = np.where(win, si, n)
+    best = np.full(n, n)
+    if nonempty.any():
+        best[nonempty] = np.minimum.reduceat(cand, S.indptr[:-1][nonempty])
+    rows = []
+    cols = []
+    for i in range(n):
+        if labels[i] == C_POINT:
+            rows.append(i)
+            cols.append(cf.coarse_index[i])
+        elif best[i] < n:
+            rows.append(i)
+            cols.append(cf.coarse_index[best[i]])
+    P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                      shape=(n, cf.n_coarse))
+    return validate_csr(P)
+
+
+def diagonal_blocks_loop(A, b):
+    A = validate_csr(A)
+    nb = A.shape[0] // b
+    dense = np.zeros((nb, b, b))
+    for k in range(nb):
+        dense[k] = A[k * b:(k + 1) * b, k * b:(k + 1) * b].toarray()
+    return dense
+
+
+# -- inputs ----------------------------------------------------------------
+
+
+def splitting(labels):
+    labels = np.asarray(labels, dtype=np.int8)
+    ci = np.full(len(labels), -1, dtype=np.int64)
+    ci[labels == C_POINT] = np.arange(int((labels == C_POINT).sum()))
+    return CFSplitting(labels=labels, coarse_index=ci)
+
+
+@lru_cache(maxsize=None)
+def pulse_system(nu):
+    """Unscaled facet system, its block size and every AIR level (p=2, 16x16)."""
+    case = case_by_name("pulse1d", p=2, nu=nu)
+    cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
+    Ss, _ = scaled_system(cs)
+    h = build_hierarchy(Ss, AirParams(block_size=cs.facet_block_size))
+    return cs.S, cs.facet_block_size, h
+
+
+def random_csr(seed, n, density=0.3, zeros=0.2, empty_rows=2):
+    """Random square CSR with explicit (+/-) zeros and some empty rows."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    M += np.diag(rng.uniform(1.0, 2.0, n))
+    M[rng.choice(n, empty_rows, replace=False)] = 0.0
+    A = sp.csr_matrix(M)
+    A.data[rng.random(A.nnz) < zeros] = 0.0
+    A.data[rng.random(A.nnz) < zeros / 2] = -0.0
+    return validate_csr(A)
+
+
+def singular_neighbourhood():
+    """C-point 4 sees F-points {0, 1} whose block [[1, 1], [1, 1]] is singular."""
+    M = np.array([
+        [1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.5, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 3.0, 0.0, 0.0],
+        [-1.0, -0.5, 0.0, 0.0, 4.0, 0.0],
+        [0.0, 0.0, -0.7, -1.0, 0.0, 4.0],
+    ])
+    return validate_csr(sp.csr_matrix(M)), splitting([0, 0, 0, 0, 1, 1])
+
+
+def random_cases():
+    cases = []
+    for seed in range(6):
+        A = random_csr(seed, 30)
+        labels = np.random.default_rng(100 + seed).integers(0, 2, 30)
+        cases.append((f"random{seed}", A, splitting(labels)))
+    zero = validate_csr(sp.csr_matrix((12, 12)))
+    cases.append(("all_zero", zero, splitting(np.arange(12) % 2)))
+    A, cf = singular_neighbourhood()
+    cases.append(("singular", A, cf))
+    return cases
+
+
+def pulse_levels():
+    out = []
+    for nu in (1e-6, 1e-1):
+        h = pulse_system(nu)[2]
+        for k, lev in enumerate(h.levels):
+            out.append((f"nu{nu:g}-L{k}", lev.A, lev.cf))
+    return out
+
+
+def assert_csr_bitwise(new, old):
+    assert new.shape == old.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+ALL = random_cases() + pulse_levels()
+
+
+# -- tests -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
+@pytest.mark.parametrize("theta", [0.0, 0.2, 0.3])
+def test_strength_graph_matches_loop(name, A, cf, theta):
+    assert_csr_bitwise(strength_graph(A, theta).csr,
+                       strength_graph_loop(A, theta).csr)
+
+
+@pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
+def test_lair_restriction_matches_loop(name, A, cf):
+    if cf is None:  # coarsest level: build a splitting as setup would
+        cf = rs_coarsen(strength_graph(A, 0.2))
+    for theta in (0.0, 0.3):
+        new = lair_restriction(A, cf, theta)
+        old = lair_restriction_loop(A, cf, theta)
+        assert_csr_bitwise(new, old)
+        assert new.fallbacks == old.fallbacks
+
+
+@pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
+def test_one_point_interpolation_matches_loop(name, A, cf):
+    g = strength_graph(A, 0.2)
+    if cf is None:
+        cf = rs_coarsen(g)
+    assert_csr_bitwise(one_point_interpolation(A, cf, g),
+                       one_point_interpolation_loop(A, cf, g))
+
+
+def test_singular_neighbourhood_case_reaches_fallback():
+    A, cf = singular_neighbourhood()
+    assert lair_restriction_loop(A, cf).fallbacks == 1
+
+
+@pytest.mark.parametrize("nu", [1e-6, 1e-1])
+def test_diagonal_blocks_match_loop_on_pulse(nu):
+    S, b, _ = pulse_system(nu)
+    old = diagonal_blocks_loop(S, b)
+    scaling = BlockDiagonalScaling(S, b)
+    assert scaling.block_inverses.tobytes() == np.linalg.inv(old).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_gather_matches_dense_lookup(seed):
+    A = random_csr(seed, 17)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 17, (5, 1))
+    cols = rng.integers(0, 17, (1, 7))
+    got = csr_gather(A, rows, cols)
+    assert got.shape == (5, 7)
+    assert np.array_equal(got, A.toarray()[rows, cols])
+    # every stored entry is found, explicit (signed) zeros included
+    coo = A.tocoo()
+    assert csr_gather(A, coo.row, coo.col).tobytes() == coo.data.tobytes()
+    assert not csr_gather(sp.csr_matrix((3, 4)), [0, 2], [3, 1]).any()
+
+
+def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
+    A = random_csr(7, 24, density=0.4)
+    A.setdiag(5.0)  # regular blocks; the explicit (+/-) zeros stay off-diagonal
+    A = validate_csr(A)
+    for b in (1, 2, 3, 4):
+        old = diagonal_blocks_loop(A, b)
+        got = BlockDiagonalScaling(A, b).block_inverses
+        assert got.tobytes() == np.linalg.inv(old).tobytes()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sthdg.mesh import (DeformationMap, RefinementBudgetError, TAG_DIRICHLET,
-                        TAG_FINAL, TAG_NEUMANN, bisect_refine, build_st_mesh,
+from sthdg.mesh import (SIDE_NAMES, DeformationMap, RefinementBudgetError,
+                        TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, bisect_refine,
+                        build_st_mesh,
                         classify_boundary, deform_mesh, extract_slab,
                         read_mesh, validate_mesh, write_mesh)
 
@@ -90,15 +91,25 @@ def test_repeated_refinement_stays_valid():
 def test_extract_slab_partitions_elements():
     m = classify_boundary(make(4, 3, mode="slab"))
     assert m.n_slabs == 3
+    parent_side = dict(zip(map(tuple, m.facets.tolist()), m.boundary_sides))
     seen = []
     for s in range(3):
-        sub, elem_ids, _ = extract_slab(m, s)
+        sub, elem_ids, vids = extract_slab(m, s)
         validate_mesh(sub)
         assert sub.n_elements == 2 * 4
         seen.extend(elem_ids.tolist())
         # slab interfaces become inflow-like / final surfaces of the slab
         assert len(sub.boundary_facets(TAG_NEUMANN)) == 4
         assert len(sub.boundary_facets(TAG_FINAL)) == 4
+        t = sub.vertices[:, 0]
+        sides = sub.boundary_sides
+        assert np.all(t[sub.facets[sides == SIDE_NAMES.index("tmin")]] == t.min())
+        assert np.all(t[sub.facets[sides == SIDE_NAMES.index("tmax")]] == t.max())
+        # spatial sides are the parent's labels of the same facets
+        spatial = sides >= SIDE_NAMES.index("xlo")
+        assert np.count_nonzero(spatial) == 2  # one xlo, one xhi facet
+        for (a, b), sd in zip(vids[sub.facets[spatial]].tolist(), sides[spatial]):
+            assert parent_side[(a, b)] == sd
     assert sorted(seen) == list(range(m.n_elements))
 
 
