@@ -114,49 +114,56 @@ def strength_graph(A, theta):
 
 
 def rs_coarsen(g: StrengthGraph) -> CFSplitting:
-    """Classical two-pass Ruge-Stuben CF splitting on a strength graph.
+    """Classical Ruge-Stuben CF splitting on a strength graph.
 
-    First pass greedily picks C-points by descending influence count
-    (ties broken by index); choosing a C-point turns its dependents into
-    F-points and boosts the measure of their remaining dependencies.
-    Points with no connections at all become F up front: relaxation
-    solves their (diagonal) equations exactly, and keeping them off the
-    coarse grids stops them from piling up level after level.  Second
-    pass turns any F-point with strong dependencies but no C-dependency
-    into C.
+    The measure of a point is the number of points that strongly depend
+    on it.  The splitting repeatedly makes C the undecided point with the
+    highest current measure, the lowest index among equal measures; its
+    undecided dependents become F, and each remaining undecided
+    dependency of such a new F-point gains one measure.  Points with no
+    connections at all become F up front: relaxation solves their
+    (diagonal) equations exactly, and keeping them off the coarse grids
+    stops them from piling up level after level.
+
+    A point becomes F only as a dependent of a new C-point, so every
+    F-point with a strong dependency already has a C-dependency: the
+    classical second pass, which would make C any F-point without one,
+    never finds a candidate and is not run.
+
+    The loop reads the graph through memoryviews and keeps its state in
+    Python lists, and each heap entry is one int, ``-measure * n + i``,
+    which orders exactly like ``(-measure, i)``.
+    Measures only grow, so a point's newest entry pops before its older
+    ones, and an entry popped while its point is undecided is current.
     """
     S = g.csr
     n = g.n
     ST = S.tocsc()
-    state = np.full(n, -1, dtype=np.int8)  # -1 undecided
-    isolated = (np.diff(S.indptr) == 0) & (np.diff(ST.indptr) == 0)
-    state[isolated] = F_POINT
-    measure = np.diff(ST.indptr).astype(np.int64).copy()  # how many depend on me
-    heap = [(-measure[i], i) for i in range(n)]
+    n_infl = np.diff(ST.indptr)  # how many depend on me
+    isolated = (np.diff(S.indptr) == 0) & (n_infl == 0)
+    sptr, sidx = memoryview(S.indptr), memoryview(S.indices)
+    tptr, tidx = memoryview(ST.indptr), memoryview(ST.indices)
+    state = np.where(isolated, F_POINT, -1).tolist()
+    measure = n_infl.tolist()
+    heap = (np.arange(n, dtype=np.int64) - n_infl.astype(np.int64) * n).tolist()
+    heappop, heappush = heapq.heappop, heapq.heappush
     heapq.heapify(heap)
     while heap:
-        negm, i = heapq.heappop(heap)
-        if state[i] != -1 or -negm != measure[i]:
-            continue  # stale entry
+        i = heappop(heap) % n
+        if state[i] != -1:
+            continue  # already C or F
         state[i] = C_POINT
-        # dependents of i become F
-        for k in ST.indices[ST.indptr[i]:ST.indptr[i + 1]]:
+        for k in tidx[tptr[i]:tptr[i + 1]]:  # dependents of i become F
             if state[k] != -1:
                 continue
             state[k] = F_POINT
             # k now leans on its other dependencies: raise their priority
-            for j in S.indices[S.indptr[k]:S.indptr[k + 1]]:
+            for j in sidx[sptr[k]:sptr[k + 1]]:
                 if state[j] == -1:
-                    measure[j] += 1
-                    heapq.heappush(heap, (-measure[j], j))
-    # second pass: F-points must see at least one C-point
-    for i in range(n):
-        if state[i] != F_POINT:
-            continue
-        deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
-        if len(deps) and not np.any(state[deps] == C_POINT):
-            state[i] = C_POINT
-    labels = (state == C_POINT).astype(np.int8)
+                    m = measure[j] + 1
+                    measure[j] = m
+                    heappush(heap, j - m * n)
+    labels = np.array(state, dtype=np.int8)
     coarse_index = np.full(n, -1, dtype=np.int64)
     cpts = np.nonzero(labels)[0]
     coarse_index[cpts] = np.arange(len(cpts))

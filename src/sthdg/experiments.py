@@ -182,16 +182,17 @@ class ExperimentConfig:
             if key not in kw:
                 raise ConfigError(f"unknown config override {key!r}")
             if isinstance(val, str) and not isinstance(kw[key], str):
-                if key == "nus":
-                    val = tuple(float(v) for v in val.split(","))
-                elif key == "ladder":
-                    val = tuple(_parse_ladder(val))
-                elif isinstance(kw[key], bool):
-                    if val.lower() not in cp.BOOLEAN_STATES:
-                        raise ConfigError(f"{key}: not a boolean: {val!r}")
-                    val = cp.BOOLEAN_STATES[val.lower()]
-                else:
-                    val = type(kw[key])(val)
+                try:
+                    if key == "nus":
+                        val = tuple(float(v) for v in val.split(","))
+                    elif key == "ladder":
+                        val = tuple(_parse_ladder(val))
+                    elif isinstance(kw[key], bool):
+                        val = cp.BOOLEAN_STATES[val.lower()]
+                    else:
+                        val = type(kw[key])(val)
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(f"bad override {key} = {val!r}") from exc
             kw[key] = val
         return cls(**kw)
 

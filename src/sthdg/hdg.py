@@ -109,6 +109,19 @@ def _tables(p: int):
     return rq, rw, phi, gref, s, wf, psi, traces
 
 
+@lru_cache(maxsize=256)
+def _einsum_path(subscripts, *shapes):
+    ops = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *ops, optimize=True)[0]
+
+
+def _einsum(subscripts, *operands):
+    """``np.einsum(..., optimize=True)`` with the contraction path memoised
+    on the subscripts and operand shapes, so the order is the same."""
+    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _geometry(mesh):
     v = mesh.vertices[mesh.elements]
     J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
@@ -245,12 +258,12 @@ def assemble_blocks(mesh, p, prob):
     G = np.einsum("qid,edc->eqic", gref, Jinv)
     conv = G[:, :, :, 0] + avals[:, :, None] * G[:, :, :, 1]
     wdet = rw[None, :] * detJ[:, None]
-    elem_A = -np.einsum("eq,eqi,qj->eij", wdet, conv, phi, optimize=True)
-    elem_A += nu * np.einsum("eq,eqi,eqj->eij", wdet, G[:, :, :, 1], G[:, :, :, 1],
-                             optimize=True)
+    elem_A = -_einsum("eq,eqi,qj->eij", wdet, conv, phi)
+    elem_A += nu * _einsum("eq,eqi,eqj->eij", wdet, G[:, :, :, 1],
+                           G[:, :, :, 1])
     if prob.source is not None:
         fvals = np.asarray(prob.source(flatX), dtype=float).reshape(ne, -1)
-        elem_F = np.einsum("eq,eq,qi->ei", wdet, fvals, phi, optimize=True)
+        elem_F = _einsum("eq,eq,qi->ei", wdet, fvals, phi)
     else:
         elem_F = np.zeros((ne, nV))
 
@@ -281,51 +294,46 @@ def assemble_blocks(mesh, p, prob):
         nx = n[:, 1:2]
         Gxt = np.einsum("qid,md->mqi", TGref, Jinv[kids][:, :, 1])
 
-        A_f = np.einsum("mq,qj,qi->mij", w2 * (apl + coef), TV, TV, optimize=True)
-        A_f -= nu * np.einsum("mq,mqj,qi->mij", w2 * nx, Gxt, TV, optimize=True)
-        A_f -= nu * np.einsum("mq,qj,mqi->mij", w2 * nx, TV, Gxt, optimize=True)
+        A_f = _einsum("mq,qj,qi->mij", w2 * (apl + coef), TV, TV)
+        A_f -= nu * _einsum("mq,mqj,qi->mij", w2 * nx, Gxt, TV)
+        A_f -= nu * _einsum("mq,qj,mqi->mij", w2 * nx, TV, Gxt)
         np.add.at(elem_A, kids, A_f)
 
         is_dir = tags[fids] == TAG_DIRICHLET
         nd = ~is_dir
         if nd.any():
             wB = (w2 * (ami - coef))[nd]
-            B_f = np.einsum("mq,qi,qn->min", wB, TV, psi, optimize=True)
-            B_f += nu * np.einsum("mq,mqi,qn->min", (w2 * nx)[nd], Gxt[nd], psi,
-                                  optimize=True)
+            B_f = _einsum("mq,qi,qn->min", wB, TV, psi)
+            B_f += nu * _einsum("mq,mqi,qn->min", (w2 * nx)[nd], Gxt[nd], psi)
             elem_B[kids[nd], locs[nd]] = B_f
             wC = -(w2 * (apl + coef))[nd]
-            C_f = np.einsum("mq,qn,qj->mnj", wC, psi, TV, optimize=True)
-            C_f += nu * np.einsum("mq,qn,mqj->mnj", (w2 * nx)[nd], psi, Gxt[nd],
-                                  optimize=True)
+            C_f = _einsum("mq,qn,qj->mnj", wC, psi, TV)
+            C_f += nu * _einsum("mq,qn,mqj->mnj", (w2 * nx)[nd], psi, Gxt[nd])
             elem_C[kids[nd], locs[nd]] = C_f
             wD = (w2 * (coef - ami))[nd]
             np.add.at(D_blocks, fids[nd],
-                      np.einsum("mq,qn,qk->mnk", wD, psi, psi, optimize=True))
+                      _einsum("mq,qn,qk->mnk", wD, psi, psi))
         if is_dir.any():
             if prob.dirichlet is None:
                 raise ValueError("problem has Dirichlet facets but no dirichlet data")
             gd = np.asarray(prob.dirichlet(Xf[is_dir].reshape(-1, 2)),
                             dtype=float).reshape(is_dir.sum(), -1)
-            lift = np.einsum("mq,mq,qi->mi", (w2 * (ami - coef))[is_dir], gd, TV,
-                             optimize=True)
-            lift += nu * np.einsum("mq,mq,mqi->mi", (w2 * nx)[is_dir], gd,
-                                   Gxt[is_dir], optimize=True)
+            lift = _einsum("mq,mq,qi->mi", (w2 * (ami - coef))[is_dir], gd, TV)
+            lift += nu * _einsum("mq,mq,mqi->mi", (w2 * nx)[is_dir], gd,
+                                 Gxt[is_dir])
             np.add.at(elem_F, kids[is_dir], -lift)
         # inflow-like and final facets: outflow stabilization + data
         is_neu = (tags[fids] == TAG_NEUMANN) | (tags[fids] == TAG_FINAL)
         if is_neu.any():
             np.add.at(D_blocks, fids[is_neu],
-                      np.einsum("mq,qn,qk->mnk", (w2 * apl)[is_neu], psi, psi,
-                                optimize=True))
+                      _einsum("mq,qn,qk->mnk", (w2 * apl)[is_neu], psi, psi))
             if prob.neumann is not None:
                 nn = np.repeat(n[is_neu][:, None, :], len(sseg), axis=1)
                 gn = np.asarray(
                     prob.neumann(Xf[is_neu].reshape(-1, 2), nn.reshape(-1, 2)),
                     dtype=float).reshape(is_neu.sum(), -1)
                 np.add.at(G_blocks, fids[is_neu],
-                          np.einsum("mq,mq,qn->mn", w2[is_neu], gn, psi,
-                                    optimize=True))
+                          _einsum("mq,mq,qn->mn", w2[is_neu], gn, psi))
 
     coupled = np.nonzero((mesh.facet_elems[:, 1] >= 0) |
                          (tags == TAG_NEUMANN) | (tags == TAG_FINAL))[0]

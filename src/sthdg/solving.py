@@ -30,6 +30,11 @@ class SolverFailure(RuntimeError):
     """The linear solver did not reach the requested tolerance."""
 
 
+# A converged solve must also have a true (unpreconditioned) relative
+# residual within this factor of the tolerance on the preconditioned one.
+TRUE_RESIDUAL_FACTOR = 100.0
+
+
 @dataclass
 class SolverParams:
     method: str = "air_bicgstab"  # or "dense"
@@ -70,7 +75,9 @@ def solve_condensed(cs, params=None, callback=None):
 
     ``callback(lam_k, k)`` is forwarded to BiCGSTAB (full steps); the
     left scaling does not change the iterates' meaning, so callbacks see
-    genuine facet coefficients.
+    genuine facet coefficients.  With ``raise_on_failure`` a solve raises
+    :class:`SolverFailure` when BiCGSTAB does not converge, or when its
+    true relative residual exceeds ``TRUE_RESIDUAL_FACTOR * tol``.
     """
     params = params or SolverParams()
     timings = {}
@@ -97,6 +104,12 @@ def solve_condensed(cs, params=None, callback=None):
     if not report.converged and params.raise_on_failure:
         raise SolverFailure(
             f"BiCGSTAB stopped at relative residual {report.final_residual:.3e} "
+            f"after {report.iterations} iterations")
+    if (params.raise_on_failure and
+            report.true_residual > TRUE_RESIDUAL_FACTOR * params.tol):
+        raise SolverFailure(
+            f"true relative residual {report.true_residual:.3e} exceeds "
+            f"{TRUE_RESIDUAL_FACTOR:g} x tol ({params.tol:.1e}) "
             f"after {report.iterations} iterations")
     t2 = time.perf_counter()
     U = reconstruct(cs, lam)

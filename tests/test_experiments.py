@@ -1,11 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sthdg.krylov
+import sthdg.solving
+from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.cli import main
 from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
                                run_amr, run_converge, run_export,
                                run_iterations, run_ordercheck,
                                run_relaxcompare, run_stagnation)
+from sthdg.hdg import assemble_blocks, condense
+from sthdg.solving import SolverFailure, SolverParams, solve_condensed
 from sthdg.sparsela import read_matrix_market
 
 
@@ -55,6 +62,15 @@ def test_config_bool_overrides_parse_words():
     assert c.scale_blocks is True
     with pytest.raises(ConfigError):
         ExperimentConfig.from_ini(overrides={"scale_blocks": "maybe"})
+
+
+def test_config_bad_number_overrides_raise_config_error():
+    for key, word in (("p", "abc"), ("p", "2.5"), ("tol", "tiny"),
+                      ("nus", "1e-3,x"), ("ladder", "4xq")):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_ini(overrides={key: word})
+    c = ExperimentConfig.from_ini(overrides={"p": "3", "tol": "1e-9"})
+    assert c.p == 3 and c.tol == 1e-9
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -187,3 +203,35 @@ def test_cli_solver_failure_exit_3(tmp_path, capsys):
                  "--nu", "0.1", "--p", "1"])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def report_true_residual(monkeypatch, true_residual):
+    """Make every BiCGSTAB solve report this true relative residual."""
+
+    def fake(*args, **kwargs):
+        x, report = sthdg.krylov.bicgstab(*args, **kwargs)
+        return x, replace(report, true_residual=true_residual)
+
+    monkeypatch.setattr(sthdg.solving, "bicgstab", fake)
+
+
+def test_true_residual_gate(monkeypatch):
+    case = case_by_name("pulse1d", p=1, nu=1e-6)
+    cs = condense(assemble_blocks(build_case_mesh(case, 4, 4), 1, case.prob))
+    params = SolverParams(tol=1e-10)
+    report_true_residual(monkeypatch, 1e-8)  # exactly 100 x tol: accepted
+    assert solve_condensed(cs, params).report.converged
+    report_true_residual(monkeypatch, 1.01e-8)
+    with pytest.raises(SolverFailure, match="true relative residual"):
+        solve_condensed(cs, params)
+    sol = solve_condensed(cs, replace(params, raise_on_failure=False))
+    assert sol.report.converged and sol.report.true_residual == 1.01e-8
+
+
+def test_cli_true_residual_failure_exit_3(tmp_path, capsys, monkeypatch):
+    report_true_residual(monkeypatch, 1.0)
+    small = tmp_path / "small.ini"
+    small.write_text("[experiment]\nladder = 4\n")
+    code = main(["converge", "--config", str(small), "--out", str(tmp_path)])
+    assert code == 3
+    assert "true relative residual" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""The batched CSR readers against the loop versions they replaced.
+"""The batched CSR readers and the int-keyed CF splitting against the
+loop versions they replaced.
 
 ``strength_graph``, ``lair_restriction`` and the diagonal block
 extraction of ``BlockDiagonalScaling`` read entries of a CSR matrix
@@ -6,14 +7,19 @@ through :func:`sthdg.sparsela.csr_gather`, and ``one_point_interpolation``
 builds P without a per-row loop.  The row-by-row and block-by-block
 versions they replaced are kept here as oracles, and the new code must
 reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
-fallback count.
+fallback count.  ``rs_coarsen`` keys its heap with plain ints; the
+numpy-scalar heap loop with ``(-measure, i)`` tuples, a stale-entry
+test and a second pass is kept as its oracle, and the labels and coarse
+indices must match it bitwise.
 """
 
+import heapq
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from sthdg.air import (C_POINT, F_POINT, AirParams, CFSplitting,
                        StrengthGraph, build_hierarchy, lair_restriction,
@@ -86,6 +92,53 @@ def lair_restriction_loop(A, cf, theta=0.3):
     R = validate_csr(R)
     R.fallbacks = fallbacks
     return R
+
+
+def _rs_first_pass_loop(g):
+    """First pass of the replaced ``rs_coarsen``: the state per point."""
+    S = g.csr
+    n = g.n
+    ST = S.tocsc()
+    state = np.full(n, -1, dtype=np.int8)  # -1 undecided
+    isolated = (np.diff(S.indptr) == 0) & (np.diff(ST.indptr) == 0)
+    state[isolated] = F_POINT
+    measure = np.diff(ST.indptr).astype(np.int64).copy()  # how many depend on me
+    heap = [(-measure[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        negm, i = heapq.heappop(heap)
+        if state[i] != -1 or -negm != measure[i]:
+            continue  # stale entry
+        state[i] = C_POINT
+        # dependents of i become F
+        for k in ST.indices[ST.indptr[i]:ST.indptr[i + 1]]:
+            if state[k] != -1:
+                continue
+            state[k] = F_POINT
+            # k now leans on its other dependencies: raise their priority
+            for j in S.indices[S.indptr[k]:S.indptr[k + 1]]:
+                if state[j] == -1:
+                    measure[j] += 1
+                    heapq.heappush(heap, (-measure[j], j))
+    return state
+
+
+def _rs_coarsen_loop(g):
+    S = g.csr
+    n = g.n
+    state = _rs_first_pass_loop(g)
+    # second pass: F-points must see at least one C-point
+    for i in range(n):
+        if state[i] != F_POINT:
+            continue
+        deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
+        if len(deps) and not np.any(state[deps] == C_POINT):
+            state[i] = C_POINT
+    labels = (state == C_POINT).astype(np.int8)
+    coarse_index = np.full(n, -1, dtype=np.int64)
+    cpts = np.nonzero(labels)[0]
+    coarse_index[cpts] = np.arange(len(cpts))
+    return CFSplitting(labels=labels, coarse_index=coarse_index)
 
 
 def one_point_interpolation_loop(A, cf, g):
@@ -195,12 +248,69 @@ def pulse_levels():
     return out
 
 
+def graph(n, edges):
+    """Strength graph on ``n`` points with edge ``i -> j`` (i depends on j)."""
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    G = sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    return StrengthGraph(csr=validate_csr(G), theta=0.2)
+
+
+@st.composite
+def strength_graphs(draw):
+    """Random directed graphs: isolated points, sinks, ties, n=1, nnz=0."""
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.random((n, n)) < density
+    np.fill_diagonal(M, False)
+    cut = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    M[cut] = False
+    M[:, cut] = False  # isolated points
+    return graph(n, list(zip(*np.nonzero(M))))
+
+
+def shaped_graphs():
+    """Graphs whose measures tie everywhere or vanish at sinks."""
+    grid = [(5 * r + c, 5 * r2 + c2) for r in range(5) for c in range(5)
+            for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+            if 0 <= r2 < 5 and 0 <= c2 < 5]
+    return [
+        ("single", graph(1, [])),
+        ("no_edges", graph(7, [])),
+        ("ring", graph(9, [(i, (i + 1) % 9) for i in range(9)])),
+        ("hub_depended_on", graph(8, [(k, 0) for k in range(1, 8)])),
+        ("hub_depends_on_all", graph(8, [(0, k) for k in range(1, 8)])),
+        ("chain_and_isolated", graph(6, [(0, 1), (1, 2), (2, 3)])),
+        ("bipartite", graph(8, [(i, j) for i in range(4) for j in range(4, 8)])),
+        ("grid", graph(25, grid)),
+    ]
+
+
+SHAPED = shaped_graphs()
+
+
 def assert_csr_bitwise(new, old):
     assert new.shape == old.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def assert_cf_bitwise(new, old):
+    for name in ("labels", "coarse_index"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_f_points_see_c(g, labels):
+    """Every F-point with a strong dependency has a C-dependency."""
+    S = g.csr
+    for i in np.nonzero(labels == F_POINT)[0]:
+        deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
+        assert len(deps) == 0 or np.any(labels[deps] == C_POINT), i
 
 
 ALL = random_cases() + pulse_levels()
@@ -272,3 +382,35 @@ def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
         old = diagonal_blocks_loop(A, b)
         got = BlockDiagonalScaling(A, b).block_inverses
         assert got.tobytes() == np.linalg.inv(old).tobytes()
+
+
+@pytest.mark.parametrize("nu", [1e-6, 1e-1])
+def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
+    h = pulse_system(nu)[2]
+    for lev in h.levels:
+        g = strength_graph(lev.A, h.params.theta_c)
+        cf = rs_coarsen(g)
+        assert_cf_bitwise(cf, _rs_coarsen_loop(g))
+        if lev.cf is not None:
+            assert_cf_bitwise(lev.cf, cf)
+
+
+@pytest.mark.parametrize("name,g", SHAPED, ids=[c[0] for c in SHAPED])
+def test_rs_coarsen_matches_loop_on_shaped_graphs(name, g):
+    cf = rs_coarsen(g)
+    assert_cf_bitwise(cf, _rs_coarsen_loop(g))
+    assert_f_points_see_c(g, cf.labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=strength_graphs())
+def test_rs_coarsen_matches_loop_on_random_graphs(g):
+    cf = rs_coarsen(g)
+    assert_cf_bitwise(cf, _rs_coarsen_loop(g))
+    assert set(cf.labels.tolist()) <= {C_POINT, F_POINT}
+    isolated = (np.diff(g.csr.indptr) == 0) & (np.diff(g.csr.tocsc().indptr) == 0)
+    assert np.all(cf.labels[isolated] == F_POINT)
+    assert_f_points_see_c(g, cf.labels)
+    # the first pass alone already satisfies the invariant, so the
+    # oracle's second pass never promotes a point
+    assert_f_points_see_c(g, _rs_first_pass_loop(g))
