@@ -29,7 +29,7 @@ Schur complement ``S = D - C A^{-1} B``, ``H = G - C A^{-1} F``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .basis import segment_basis, triangle_basis, tri_space_dim
 from .mesh import TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, _LOCAL_EDGES
 from .quadrature import segment_rule, triangle_rule
-from .sparsela import SingularBlockError, validate_csr
+from .sparsela import SingularBlockError, block_diag_csr, validate_csr
 
 __all__ = [
     "ProblemSpec",
@@ -135,31 +135,24 @@ def _geometry(mesh):
 
 
 def _facet_side_groups(mesh):
-    """Facet sides grouped by the (local index of low, high vertex) pair."""
-    groups = {}
-    for s in (0, 1):
-        ks = mesh.facet_elems[:, s]
-        have = np.nonzero(ks >= 0)[0]
-        k = ks[have]
-        loc = mesh.facet_locals[have, s]
-        i = np.array([_LOCAL_EDGES[l][0] for l in loc])
-        j = np.array([_LOCAL_EDGES[l][1] for l in loc])
-        first = mesh.elements[k, i] == mesh.facets[have, 0]
-        la = np.where(first, i, j)
-        lb = np.where(first, j, i)
-        for key in range(9):
-            sel = np.nonzero(la * 3 + lb == key)[0]
-            if len(sel) == 0:
-                continue
-            g = groups.setdefault((key // 3, key % 3), [[], [], [], []])
-            g[0].extend(have[sel])
-            g[1].extend(k[sel])
-            g[2].extend(loc[sel])
-            g[3].extend([s] * len(sel))
-    return {
-        key: tuple(np.asarray(a, dtype=np.int64) for a in g)
-        for key, g in groups.items()
-    }
+    """Facet sides grouped by the (local index of low, high vertex) pair.
+
+    Members run side 0 before side 1, then by facet; groups by their first
+    member's side, then by key.  Assembly accumulates in this order.
+    """
+    sides, fids = np.nonzero(mesh.facet_elems.T >= 0)
+    kids = mesh.facet_elems[fids, sides]
+    locs = mesh.facet_locals[fids, sides]
+    i, j = np.asarray(_LOCAL_EDGES)[locs].T
+    first = mesh.elements[kids, i] == mesh.facets[fids, 0]
+    key = np.where(first, i * 3 + j, j * 3 + i)
+    order = np.argsort(key, kind="stable")
+    fids, kids, locs, sides, key = (a[order] for a in (fids, kids, locs, sides, key))
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], len(key)]
+    lead = np.lexsort((key[starts], sides[starts]))
+    return {divmod(int(key[a]), 3): (fids[a:b], kids[a:b], locs[a:b], sides[a:b])
+            for a, b in zip(starts[lead], ends[lead])}
 
 
 @dataclass
@@ -343,27 +336,21 @@ def assemble_blocks(mesh, p, prob):
     # immaterial for the element solution.  Pin those traces to zero so the
     # facet system stays invertible.
     scale = np.abs(D_blocks).max() if nf else 0.0
-    dnorm = np.abs(D_blocks[coupled]).max(axis=(1, 2)) if len(coupled) else \
-        np.zeros(0)
-    loose = coupled[dnorm <= 1e-12 * scale]
-    if len(loose):
-        D_blocks[loose] = np.eye(nM)
-        G_blocks[loose] = 0.0
-        for f in loose:
-            for k, loc in zip(mesh.facet_elems[f], mesh.facet_locals[f]):
-                if k >= 0:
-                    elem_B[k, loc] = 0.0
-                    elem_C[k, loc] = 0.0
+    loose = coupled[np.abs(D_blocks[coupled]).max(axis=(1, 2)) <= 1e-12 * scale]
+    D_blocks[loose] = np.eye(nM)
+    G_blocks[loose] = 0.0
+    ks, locs = mesh.facet_elems[loose], mesh.facet_locals[loose]
+    has = ks >= 0
+    elem_B[ks[has], locs[has]] = 0.0
+    elem_C[ks[has], locs[has]] = 0.0
 
     facet_block = np.full(nf, -1, dtype=np.int64)
     facet_block[coupled] = np.arange(len(coupled))
     elem_facet_block = facet_block[mesh.elem_facets]
-    nL = len(coupled) * nM
-    Dg = sp.block_diag(D_blocks[coupled], format="csr") if len(coupled) else \
-        sp.csr_matrix((0, 0))
     return BlockSystem(mesh=mesh, p=p, nV=nV, facet_block_size=nM,
                        elem_A=elem_A, elem_F=elem_F, elem_B=elem_B, elem_C=elem_C,
-                       elem_facet_block=elem_facet_block, D=validate_csr(Dg),
+                       elem_facet_block=elem_facet_block,
+                       D=validate_csr(block_diag_csr(D_blocks[coupled])),
                        G=G_blocks[coupled].ravel(), coupled_facets=coupled,
                        facet_block=facet_block)
 

@@ -16,11 +16,15 @@ anti-diagonal hypotenuses and the initial mesh is compatibly divisible.
 Boundary facets carry a side label (``tmin``, ``tmax``, ``xlo``, ``xhi``)
 recorded at construction and inherited under deformation and refinement;
 :func:`classify_boundary` maps side labels to boundary condition tags.
+
+Facet numbering is a contract: facets are the sorted vertex pairs in
+lexicographic order, whatever the element order, and side 0 of a facet is
+its element with the lower id.  Connectivity comes from one ``np.unique``
+of the keys ``lo * n_vertices + hi``, not from a loop over elements.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 import numpy as np
 
@@ -80,7 +84,9 @@ class SpaceTimeMesh:
     Derived connectivity (computed once):
 
     - ``facets`` (nf, 2): sorted vertex pairs, lexicographically ordered.
-    - ``facet_elems`` (nf, 2): adjacent element ids, -1 where absent.
+    - ``facet_elems`` (nf, 2): adjacent element ids, the lower id on side
+      0; side 1 of a boundary facet is -1.
+    - ``facet_locals`` (nf, 2): the facet's local edge in each element.
     - ``facet_normals`` (nf, 2, 2): unit outward normal per adjacent side.
     - ``facet_lengths`` (nf,), ``elem_facets`` (ne, 3).
     - ``boundary_sides`` (nf,): side id, -1 for interior facets.
@@ -116,36 +122,27 @@ class SpaceTimeMesh:
             raise ValueError(f"element {bad} is not positively oriented")
         self.areas = 0.5 * det
 
-        pairs = {}
-        elem_facets = np.empty((ne, 3), dtype=np.int64)
-        raw = []
-        for k in range(ne):
-            for loc, (i, j) in enumerate(_LOCAL_EDGES):
-                a, b = int(e[k, i]), int(e[k, j])
-                key = (a, b) if a < b else (b, a)
-                fid = pairs.get(key)
-                if fid is None:
-                    fid = len(raw)
-                    pairs[key] = fid
-                    raw.append([key, [(k, loc)]])
-                else:
-                    raw[fid][1].append((k, loc))
-        # deterministic facet numbering independent of element order
-        order = sorted(range(len(raw)), key=lambda f: raw[f][0])
-        nf = len(raw)
-        self.facets = np.empty((nf, 2), dtype=np.int64)
+        # one key lo*nv + hi per local edge; np.unique numbers the facets
+        # in lexicographic vertex-pair order
+        nv = len(v)
+        ends = np.sort(e[:, np.asarray(_LOCAL_EDGES)], axis=2).reshape(-1, 2)
+        keys, inverse, counts = np.unique(ends[:, 0] * nv + ends[:, 1],
+                                          return_inverse=True, return_counts=True)
+        self.facets = np.stack([keys // nv, keys % nv], axis=1)
+        if np.any(counts > 2):
+            a, b = self.facets[np.argmax(counts > 2)].tolist()
+            raise ValueError(f"facet {(a, b)} shared by more than two elements")
+        nf = len(keys)
+        self.elem_facets = inverse.reshape(ne, 3)
+        # sides in (element, local) order: side 0 is the lower element id
+        slot = np.argsort(inverse, kind="stable")
+        first = np.cumsum(counts) - counts
+        two = counts == 2
         self.facet_elems = np.full((nf, 2), -1, dtype=np.int64)
         self.facet_locals = np.full((nf, 2), -1, dtype=np.int64)
-        for newf, oldf in enumerate(order):
-            key, adj = raw[oldf]
-            if len(adj) > 2:
-                raise ValueError(f"facet {key} shared by more than two elements")
-            self.facets[newf] = key
-            for s, (k, loc) in enumerate(sorted(adj)):
-                self.facet_elems[newf, s] = k
-                self.facet_locals[newf, s] = loc
-                elem_facets[k, loc] = newf
-        self.elem_facets = elem_facets
+        self.facet_elems[:, 0], self.facet_locals[:, 0] = np.divmod(slot[first], 3)
+        self.facet_elems[two, 1], self.facet_locals[two, 1] = np.divmod(
+            slot[first[two] + 1], 3)
 
         tang = v[self.facets[:, 1]] - v[self.facets[:, 0]]
         self.facet_lengths = np.hypot(tang[:, 0], tang[:, 1])
@@ -160,14 +157,21 @@ class SpaceTimeMesh:
             sign = np.where(np.sum(base[has] * (mid[has] - c), axis=1) >= 0.0, 1.0, -1.0)
             self.facet_normals[has, s, :] = base[has] * sign[:, None]
 
+        # side labels looked up by the same keys
+        bnd = np.nonzero(self.facet_elems[:, 1] < 0)[0]
+        labeled = np.array(list(self.side_of_edge), dtype=np.int64).reshape(-1, 2)
+        label = np.fromiter(self.side_of_edge.values(), np.int64, len(labeled))
+        ok = np.all((labeled >= 0) & (labeled < nv), axis=1)
+        lkeys = labeled[ok, 0] * nv + labeled[ok, 1]
+        lorder = np.argsort(lkeys)
+        lkeys = np.append(lkeys[lorder], nv * nv)  # sentinel above every key
+        pos = np.searchsorted(lkeys, keys[bnd])
+        found = lkeys[pos] == keys[bnd]
+        if not found.all():
+            a, b = self.facets[bnd[np.argmin(found)]].tolist()
+            raise ValueError(f"boundary facet {(a, b)} has no side label")
         self.boundary_sides = np.full(nf, -1, dtype=np.int8)
-        is_bnd = self.facet_elems[:, 1] < 0
-        for f in np.nonzero(is_bnd)[0]:
-            key = (int(self.facets[f, 0]), int(self.facets[f, 1]))
-            side = self.side_of_edge.get(key)
-            if side is None:
-                raise ValueError(f"boundary facet {key} has no side label")
-            self.boundary_sides[f] = side
+        self.boundary_sides[bnd] = label[ok][lorder][pos]
         self.boundary_tags = np.zeros(nf, dtype=np.int8)
         self.element_h = self._element_h()
 
@@ -260,37 +264,24 @@ def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
     tv = np.linspace(t0, tN, nt + 1)
     xv = np.linspace(xlo, xhi, nx + 1)
     # vertex (it, ix) -> it*(nx+1) + ix
-    vid = lambda it, ix: it * (nx + 1) + ix
-    verts = np.empty(((nt + 1) * (nx + 1), 2))
-    for it in range(nt + 1):
-        for ix in range(nx + 1):
-            verts[vid(it, ix)] = (tv[it], xv[ix])
-    elems = []
-    slabs = []
-    for it in range(nt):
-        for ix in range(nx):
-            v00 = vid(it, ix)
-            v10 = vid(it + 1, ix)
-            v01 = vid(it, ix + 1)
-            v11 = vid(it + 1, ix + 1)
-            # peaks at the right-angle corners; refinement edge is the
-            # shared anti-diagonal (v10, v01)
-            elems.append((v00, v10, v01))
-            elems.append((v11, v01, v10))
-            slabs.extend((it, it))
-    side_of_edge = {}
-
-    def _label(a, b, side):
-        side_of_edge[(a, b) if a < b else (b, a)] = _SIDE_ID[side]
-
-    for ix in range(nx):
-        _label(vid(0, ix), vid(0, ix + 1), "tmin")
-        _label(vid(nt, ix), vid(nt, ix + 1), "tmax")
-    for it in range(nt):
-        _label(vid(it, 0), vid(it + 1, 0), "xlo")
-        _label(vid(it, nx), vid(it + 1, nx), "xhi")
-    return SpaceTimeMesh(verts, np.asarray(elems), np.asarray(slabs),
-                         side_of_edge, mode, box, n_slabs=nt)
+    verts = np.stack(np.meshgrid(tv, xv, indexing="ij"), axis=-1).reshape(-1, 2)
+    v00 = (np.arange(nt)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01, v11 = v00 + nx + 1, v00 + 1, v00 + nx + 2
+    # per cell, peaks at the right-angle corners; refinement edge is the
+    # shared anti-diagonal (v10, v01)
+    elems = np.stack([v00, v10, v01, v11, v01, v10], axis=1).reshape(-1, 3)
+    slabs = np.repeat(np.arange(nt), 2 * nx)
+    # labels in the order tmin/tmax per ix, then xlo/xhi per it
+    ix, it = np.arange(nx), np.arange(nt) * (nx + 1)
+    bottom = np.stack([ix, ix + 1], axis=1)
+    left = np.stack([it, it + nx + 1], axis=1)
+    pairs = np.concatenate([np.stack([bottom, bottom + nt * (nx + 1)], axis=1),
+                            np.stack([left, left + nx], axis=1)]).reshape(-1, 2)
+    sides = np.concatenate([np.tile([_SIDE_ID["tmin"], _SIDE_ID["tmax"]], nx),
+                            np.tile([_SIDE_ID["xlo"], _SIDE_ID["xhi"]], nt)])
+    side_of_edge = dict(zip(map(tuple, pairs.tolist()), sides.tolist()))
+    return SpaceTimeMesh(verts, elems, slabs, side_of_edge, mode, box,
+                         n_slabs=nt)
 
 
 def deform_mesh(mesh, deformation):
@@ -487,13 +478,11 @@ def validate_mesh(mesh, tol=1e-12):
     nsum = mesh.facet_normals[inner, 0] + mesh.facet_normals[inner, 1]
     assert np.abs(nsum).max() < tol if inner.any() else True, \
         "interior facet normals are not anti-parallel"
-    for k in range(mesh.n_elements):
-        acc = np.zeros(2)
-        for loc in range(3):
-            f = mesh.elem_facets[k, loc]
-            s = 0 if mesh.facet_elems[f, 0] == k else 1
-            acc += mesh.facet_lengths[f] * mesh.facet_normals[f, s]
-        assert np.abs(acc).max() < tol * scale, f"element {k} normals do not close"
+    f = mesh.elem_facets
+    s = (mesh.facet_elems[f, 0] != np.arange(mesh.n_elements)[:, None]).astype(int)
+    flux = mesh.facet_lengths[f][:, :, None] * mesh.facet_normals[f, s]
+    closed = np.abs(flux[:, 0] + flux[:, 1] + flux[:, 2]).max(axis=1) < tol * scale
+    assert closed.all(), f"element {np.argmin(closed)} normals do not close"
     # conformity: no vertex strictly inside a facet
     va = mesh.vertices[mesh.facets[:, 0]]
     vb = mesh.vertices[mesh.facets[:, 1]]

@@ -23,7 +23,7 @@ from .mesh import extract_slab
 from .sparsela import DenseLU, block_diag_inverse_scale
 
 __all__ = ["SolverParams", "SolverFailure", "CondensedSolve", "SlabSolution",
-           "scaled_system", "solve_condensed", "solve_problem"]
+           "accepted", "scaled_system", "solve_condensed", "solve_problem"]
 
 
 class SolverFailure(RuntimeError):
@@ -33,6 +33,17 @@ class SolverFailure(RuntimeError):
 # A converged solve must also have a true (unpreconditioned) relative
 # residual within this factor of the tolerance on the preconditioned one.
 TRUE_RESIDUAL_FACTOR = 100.0
+
+
+def accepted(report, tol):
+    """Whether a solve counts as converged at tolerance ``tol``.
+
+    BiCGSTAB must converge and its true relative residual must be within
+    ``TRUE_RESIDUAL_FACTOR * tol``; a dense solve (``report`` None) always
+    counts.
+    """
+    return report is None or (
+        report.converged and report.true_residual <= TRUE_RESIDUAL_FACTOR * tol)
 
 
 @dataclass
@@ -76,8 +87,7 @@ def solve_condensed(cs, params=None, callback=None):
     ``callback(lam_k, k)`` is forwarded to BiCGSTAB (full steps); the
     left scaling does not change the iterates' meaning, so callbacks see
     genuine facet coefficients.  With ``raise_on_failure`` a solve raises
-    :class:`SolverFailure` when BiCGSTAB does not converge, or when its
-    true relative residual exceeds ``TRUE_RESIDUAL_FACTOR * tol``.
+    :class:`SolverFailure` unless it is :func:`accepted`.
     """
     params = params or SolverParams()
     timings = {}
@@ -101,12 +111,11 @@ def solve_condensed(cs, params=None, callback=None):
                            tol=params.tol, maxiter=params.maxiter,
                            callback=callback)
     timings["solve_seconds"] = time.perf_counter() - t1
-    if not report.converged and params.raise_on_failure:
-        raise SolverFailure(
-            f"BiCGSTAB stopped at relative residual {report.final_residual:.3e} "
-            f"after {report.iterations} iterations")
-    if (params.raise_on_failure and
-            report.true_residual > TRUE_RESIDUAL_FACTOR * params.tol):
+    if params.raise_on_failure and not accepted(report, params.tol):
+        if not report.converged:
+            raise SolverFailure(
+                f"BiCGSTAB stopped at relative residual {report.final_residual:.3e} "
+                f"after {report.iterations} iterations")
         raise SolverFailure(
             f"true relative residual {report.true_residual:.3e} exceeds "
             f"{TRUE_RESIDUAL_FACTOR:g} x tol ({params.tol:.1e}) "

@@ -1,8 +1,9 @@
 """Sparse/dense linear algebra helpers shared by assembly and solvers.
 
 Thin, contract-enforcing wrappers around numpy/scipy: CSR validation and
-entry lookup, products, block-diagonal scaling, guarded dense LU, and Matrix
-Market persistence with full-precision (17 significant digit) round-trip.
+entry lookup, block-diagonal CSR construction, products, block-diagonal
+scaling, guarded dense LU, and Matrix Market persistence with
+full-precision (17 significant digit) round-trip.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "SingularBlockError",
     "validate_csr",
     "csr_gather",
+    "block_diag_csr",
     "spgemm",
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
@@ -64,6 +66,16 @@ def csr_gather(A, rows, cols):
     return out
 
 
+def block_diag_csr(blocks):
+    """CSR matrix with the square ``blocks`` (nb, b, b) along its diagonal.
+
+    Every block entry is stored, zeros included, in row-major order.
+    """
+    nb, b = blocks.shape[:2]
+    return sp.bsr_matrix((blocks, np.arange(nb), np.arange(nb + 1)),
+                         shape=(nb * b, nb * b)).tocsr()
+
+
 def spgemm(A, B):
     """Exact sparse matrix-matrix product in canonical CSR (no dropping)."""
     C = sp.csr_matrix(A @ B)
@@ -95,9 +107,7 @@ class BlockDiagonalScaling:
             raise SingularBlockError(f"singular diagonal block(s) {bad.tolist()}")
         self.block_size = b
         self.block_inverses = np.linalg.inv(dense)
-        self._Dinv = sp.bsr_matrix(
-            (self.block_inverses, np.arange(nb), np.arange(nb + 1)),
-            shape=(n, n)).tocsr()
+        self._Dinv = block_diag_csr(self.block_inverses)
         self.matrix = validate_csr(self._Dinv @ A)
 
     def apply(self, v):

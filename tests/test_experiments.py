@@ -228,6 +228,20 @@ def test_true_residual_gate(monkeypatch):
     assert sol.report.converged and sol.report.true_residual == 1.01e-8
 
 
+@pytest.mark.parametrize("mode", ["all_at_once", "slab"])
+def test_iterations_cell_needs_small_true_residual(tmp_path, monkeypatch, mode):
+    c = cfg(outdir=str(tmp_path), ladder=((4, 4),), mode=mode)
+    (path,) = run_iterations(c)
+    count = path.read_text().splitlines()[1].split(",")[1]
+    assert int(count) >= 1
+    report_true_residual(monkeypatch, 100.0 * c.tol)  # exactly the bound
+    (path,) = run_iterations(c)
+    assert path.read_text().splitlines()[1].split(",")[1] == count
+    report_true_residual(monkeypatch, 101.0 * c.tol)
+    (path,) = run_iterations(c)
+    assert path.read_text().splitlines()[1].split(",")[1] == "-"
+
+
 def test_cli_true_residual_failure_exit_3(tmp_path, capsys, monkeypatch):
     report_true_residual(monkeypatch, 1.0)
     small = tmp_path / "small.ini"

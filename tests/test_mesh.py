@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sthdg.mesh import (SIDE_NAMES, DeformationMap, RefinementBudgetError,
-                        TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, bisect_refine,
-                        build_st_mesh,
+                        SpaceTimeMesh, TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN,
+                        bisect_refine, build_st_mesh,
                         classify_boundary, deform_mesh, extract_slab,
                         read_mesh, validate_mesh, write_mesh)
 
@@ -123,3 +126,105 @@ def test_mesh_io_roundtrip(tmp_path):
     assert np.array_equal(back.vertices, m.vertices)  # bitwise via %.17g
     assert back.mode == m.mode and back.n_slabs == m.n_slabs
     assert np.array_equal(back.boundary_tags, m.boundary_tags)
+
+
+# -- construction and validation errors ---------------------------------
+
+
+def unit_square(elements, side_of_edge):
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    return SpaceTimeMesh(verts, elements, np.zeros(len(elements), dtype=int),
+                         side_of_edge, "all_at_once", (0.0, 1.0, 0.0, 1.0))
+
+
+def test_negatively_oriented_element_rejected():
+    with pytest.raises(ValueError, match="element 1 is not positively oriented"):
+        unit_square([(0, 1, 2), (3, 1, 2)], {})
+
+
+def test_facet_shared_by_three_elements_rejected():
+    # three positively oriented triangles on the edge (0, 1): two above it,
+    # one below
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
+    with pytest.raises(ValueError,
+                       match=r"facet \(0, 1\) shared by more than two elements"):
+        SpaceTimeMesh(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 0, 0], {},
+                      "all_at_once", (0.0, 1.0, -1.0, 2.0))
+
+
+@pytest.mark.parametrize("alias", [False, True])
+def test_unlabeled_boundary_facet_rejected(alias):
+    # with alias, the label moves to an out-of-range pair whose key
+    # lo * n_vertices + hi equals the facet's
+    m = make(3, 2)
+    side = dict(m.side_of_edge)
+    key = sorted(side)[4]
+    assert key[0] >= 1
+    label = side.pop(key)
+    if alias:
+        side[(key[0] - 1, key[1] + m.n_vertices)] = label
+    with pytest.raises(ValueError, match=rf"boundary facet \({key[0]}, {key[1]}\) "
+                                         "has no side label"):
+        SpaceTimeMesh(m.vertices, m.elements, m.slab_index, side, m.mode, m.box)
+
+
+def test_labeled_hanging_vertex_rejected_by_validate_mesh():
+    # the lower-right half of the square is bisected at the midpoint (4) of
+    # the diagonal, the upper-left half is not; every boundary facet,
+    # including both sides of the diagonal, carries a label
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
+    side = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (1, 3): 3,
+            (1, 2): 0, (1, 4): 0, (2, 4): 0}
+    m = SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0], side,
+                      "all_at_once", (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(AssertionError, match="vertex 4 hangs on facet"):
+        validate_mesh(m)
+
+
+def test_validate_mesh_rejects_open_element():
+    # stretching one interior facet opens both of its elements; the lower
+    # element id is reported
+    m = make(2, 2)
+    f = m.elem_facets[5, 2]
+    assert m.facet_elems[f].tolist() == [5, 6]
+    m.facet_lengths = m.facet_lengths.copy()
+    m.facet_lengths[f] *= 1.5
+    with pytest.raises(AssertionError, match="element 5 normals do not close"):
+        validate_mesh(m)
+
+
+# -- exact mesh round-trip ----------------------------------------------
+
+
+@st.composite
+def random_meshes(draw):
+    nx, nt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["all_at_once", "slab"]))
+    m = classify_boundary(make(nx, nt, mode=mode),
+                          draw(st.sampled_from([(), ("xlo",), ("xlo", "xhi")])))
+    if draw(st.booleans()):
+        m = deform_mesh(m, DeformationMap(draw(st.floats(0.0, 0.2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        m = bisect_refine(m, rng.choice(m.n_elements, size=int(
+            rng.integers(1, m.n_elements + 1)), replace=False))
+    if draw(st.booleans()):
+        m, _, _ = extract_slab(m, draw(st.integers(0, m.n_slabs - 1)))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=random_meshes())
+def test_mesh_io_roundtrip_exact(m):
+    buf = io.StringIO()
+    write_mesh(m, buf)
+    buf.seek(0)
+    back = read_mesh(buf)
+    for name in ("vertices", "elements", "slab_index", "boundary_tags"):
+        a, b = getattr(back, name), getattr(m, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert back.side_of_edge == m.side_of_edge
+    assert sorted(back.side_of_edge.items()) == sorted(m.side_of_edge.items())
+    assert (back.mode, back.box, back.n_slabs, back.neumann_sides) == \
+        (m.mode, m.box, m.n_slabs, m.neumann_sides)

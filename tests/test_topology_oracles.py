@@ -1,0 +1,272 @@
+"""Mesh topology and facet grouping from index arithmetic against the
+loops they replaced.
+
+``build_st_mesh`` builds vertices, elements, slab ids and side labels
+from ``arange`` arithmetic, and ``SpaceTimeMesh`` numbers its facets
+with one ``np.unique`` of vertex-pair keys.  The nested grid loops and
+the dict-of-pairs connectivity loop they replaced are kept here as
+oracles; every connectivity array, the side labels (insertion order
+included) and the facet normals must match them bitwise.  The facet
+side groups of ``assemble_blocks`` set the order in which element
+blocks are accumulated, so they must match the per-side loop in group
+order, member order and dtype.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+from sthdg.cases import build_case_mesh, case_by_name
+from sthdg.hdg import _facet_side_groups, assemble_blocks
+from sthdg.mesh import (SIDE_NAMES, DeformationMap, bisect_refine,
+                        build_st_mesh, classify_boundary, deform_mesh,
+                        extract_slab, validate_mesh)
+from sthdg.sparsela import validate_csr
+
+_LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
+_SIDE_ID = {name: i for i, name in enumerate(SIDE_NAMES)}
+
+
+# -- oracles: the loop versions -------------------------------------------
+
+
+def build_st_mesh_loop(nx, nt, box=(0.0, 1.0, -0.5, 0.5)):
+    t0, tN, xlo, xhi = (float(v) for v in box)
+    tv = np.linspace(t0, tN, nt + 1)
+    xv = np.linspace(xlo, xhi, nx + 1)
+    vid = lambda it, ix: it * (nx + 1) + ix
+    verts = np.empty(((nt + 1) * (nx + 1), 2))
+    for it in range(nt + 1):
+        for ix in range(nx + 1):
+            verts[vid(it, ix)] = (tv[it], xv[ix])
+    elems = []
+    slabs = []
+    for it in range(nt):
+        for ix in range(nx):
+            v00 = vid(it, ix)
+            v10 = vid(it + 1, ix)
+            v01 = vid(it, ix + 1)
+            v11 = vid(it + 1, ix + 1)
+            elems.append((v00, v10, v01))
+            elems.append((v11, v01, v10))
+            slabs.extend((it, it))
+    side_of_edge = {}
+
+    def _label(a, b, side):
+        side_of_edge[(a, b) if a < b else (b, a)] = _SIDE_ID[side]
+
+    for ix in range(nx):
+        _label(vid(0, ix), vid(0, ix + 1), "tmin")
+        _label(vid(nt, ix), vid(nt, ix + 1), "tmax")
+    for it in range(nt):
+        _label(vid(it, 0), vid(it + 1, 0), "xlo")
+        _label(vid(it, nx), vid(it + 1, nx), "xhi")
+    return verts, np.asarray(elems), np.asarray(slabs), side_of_edge
+
+
+def connectivity_loop(vertices, elements, side_of_edge):
+    v, e = vertices, elements
+    ne = len(e)
+    pairs = {}
+    elem_facets = np.empty((ne, 3), dtype=np.int64)
+    raw = []
+    for k in range(ne):
+        for loc, (i, j) in enumerate(_LOCAL_EDGES):
+            a, b = int(e[k, i]), int(e[k, j])
+            key = (a, b) if a < b else (b, a)
+            fid = pairs.get(key)
+            if fid is None:
+                fid = len(raw)
+                pairs[key] = fid
+                raw.append([key, [(k, loc)]])
+            else:
+                raw[fid][1].append((k, loc))
+    order = sorted(range(len(raw)), key=lambda f: raw[f][0])
+    nf = len(raw)
+    facets = np.empty((nf, 2), dtype=np.int64)
+    facet_elems = np.full((nf, 2), -1, dtype=np.int64)
+    facet_locals = np.full((nf, 2), -1, dtype=np.int64)
+    for newf, oldf in enumerate(order):
+        key, adj = raw[oldf]
+        if len(adj) > 2:
+            raise ValueError(f"facet {key} shared by more than two elements")
+        facets[newf] = key
+        for s, (k, loc) in enumerate(sorted(adj)):
+            facet_elems[newf, s] = k
+            facet_locals[newf, s] = loc
+            elem_facets[k, loc] = newf
+
+    tang = v[facets[:, 1]] - v[facets[:, 0]]
+    lengths = np.hypot(tang[:, 0], tang[:, 1])
+    mid = 0.5 * (v[facets[:, 0]] + v[facets[:, 1]])
+    base = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    base /= lengths[:, None]
+    normals = np.zeros((nf, 2, 2))
+    centroids = v[e].mean(axis=1)
+    for s in range(2):
+        has = facet_elems[:, s] >= 0
+        c = centroids[facet_elems[has, s]]
+        sign = np.where(np.sum(base[has] * (mid[has] - c), axis=1) >= 0.0, 1.0, -1.0)
+        normals[has, s, :] = base[has] * sign[:, None]
+
+    boundary_sides = np.full(nf, -1, dtype=np.int8)
+    for f in np.nonzero(facet_elems[:, 1] < 0)[0]:
+        key = (int(facets[f, 0]), int(facets[f, 1]))
+        side = side_of_edge.get(key)
+        if side is None:
+            raise ValueError(f"boundary facet {key} has no side label")
+        boundary_sides[f] = side
+    return {"facets": facets, "facet_elems": facet_elems,
+            "facet_locals": facet_locals, "elem_facets": elem_facets,
+            "facet_lengths": lengths, "facet_normals": normals,
+            "boundary_sides": boundary_sides}
+
+
+def facet_side_groups_loop(mesh):
+    groups = {}
+    for s in (0, 1):
+        ks = mesh.facet_elems[:, s]
+        have = np.nonzero(ks >= 0)[0]
+        k = ks[have]
+        loc = mesh.facet_locals[have, s]
+        i = np.array([_LOCAL_EDGES[l][0] for l in loc])
+        j = np.array([_LOCAL_EDGES[l][1] for l in loc])
+        first = mesh.elements[k, i] == mesh.facets[have, 0]
+        la = np.where(first, i, j)
+        lb = np.where(first, j, i)
+        for key in range(9):
+            sel = np.nonzero(la * 3 + lb == key)[0]
+            if len(sel) == 0:
+                continue
+            g = groups.setdefault((key // 3, key % 3), [[], [], [], []])
+            g[0].extend(have[sel])
+            g[1].extend(k[sel])
+            g[2].extend(loc[sel])
+            g[3].extend([s] * len(sel))
+    return {
+        key: tuple(np.asarray(a, dtype=np.int64) for a in g)
+        for key, g in groups.items()
+    }
+
+
+# -- checks -------------------------------------------------------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_connectivity_matches_loop(mesh):
+    want = connectivity_loop(mesh.vertices, mesh.elements, mesh.side_of_edge)
+    for name, arr in want.items():
+        assert same_bits(getattr(mesh, name), arr), name
+
+
+@pytest.mark.parametrize("nx, nt", [(1, 1), (1, 4), (5, 1), (3, 3), (4, 7),
+                                    (16, 9), (32, 32)])
+def test_build_st_mesh_matches_loop(nx, nt):
+    box = (0.0, 1.0, -0.5, 0.5) if nx != 4 else (-1.0, 2.5, 0.25, 3.0)
+    mesh = build_st_mesh(nx, nt, box=box)
+    verts, elems, slabs, side = build_st_mesh_loop(nx, nt, box)
+    assert same_bits(mesh.vertices, verts)
+    assert same_bits(mesh.elements, elems)
+    assert same_bits(mesh.slab_index, slabs)
+    assert list(mesh.side_of_edge.items()) == list(side.items())
+    assert all(type(a) is int and type(b) is int and type(s) is int
+               for (a, b), s in mesh.side_of_edge.items())
+    assert_connectivity_matches_loop(mesh)
+
+
+@pytest.mark.parametrize("mapping", [
+    DeformationMap(0.1),
+    DeformationMap(mapping=lambda p: np.stack(
+        [p[:, 0] + 0.05 * np.sin(3.0 * p[:, 1]), p[:, 1] ** 3 + p[:, 1]], axis=1)),
+])
+def test_deformed_mesh_matches_loop(mapping):
+    mesh = deform_mesh(classify_boundary(build_st_mesh(7, 5)), mapping)
+    assert_connectivity_matches_loop(mesh)
+    validate_mesh(mesh)
+
+
+def test_every_slab_matches_loop():
+    mesh = classify_boundary(build_st_mesh(6, 5, mode="slab"), ("xhi",))
+    mesh = bisect_refine(mesh, [0, 13, 29, 44])
+    for n in range(mesh.n_slabs):
+        sub, _, _ = extract_slab(mesh, n)
+        assert_connectivity_matches_loop(sub)
+        validate_mesh(sub)
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 4), nt=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       rounds=st.integers(1, 4))
+def test_random_bisection_matches_loop_and_stays_conforming(nx, nt, seed, rounds):
+    mesh = classify_boundary(build_st_mesh(nx, nt))
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        size = int(rng.integers(1, mesh.n_elements + 1))
+        marked = rng.choice(mesh.n_elements, size=size, replace=False)
+        mesh = bisect_refine(mesh, marked)
+        assert_connectivity_matches_loop(mesh)
+        validate_mesh(mesh)
+
+
+def assert_groups_match_loop(mesh):
+    got, want = _facet_side_groups(mesh), facet_side_groups_loop(mesh)
+    assert list(got) == list(want)
+    for key in want:
+        assert all(same_bits(a, b) for a, b in zip(got[key], want[key])), key
+
+
+def layer_meshes():
+    """Uniform, deformed, refined and slab meshes of the nu = 0 layer case.
+
+    Bisection creates facets along the characteristic x = t, whose traces
+    nothing couples to (dt = dx), so the refined mesh pins loose facets.
+    """
+    case = case_by_name("layer1d")
+    uniform = build_case_mesh(case, 5, 5)
+    refined = bisect_refine(bisect_refine(uniform, [0, 7, 12, 30]), [3, 9, 21])
+    slab = build_case_mesh(case, 4, 3, mode="slab")
+    return case, [uniform, deform_mesh(uniform, DeformationMap(0.1)), refined,
+                  *(extract_slab(slab, n)[0] for n in range(slab.n_slabs))]
+
+
+def test_facet_side_groups_match_loop():
+    _, meshes = layer_meshes()
+    for mesh in meshes:
+        assert_groups_match_loop(mesh)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_facet_side_groups_match_loop_on_refined_meshes(seed):
+    mesh = classify_boundary(build_st_mesh(3, 3))
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=4, replace=False))
+    assert_groups_match_loop(mesh)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_facet_block_diagonal_keeps_every_block_entry(p):
+    case, meshes = layer_meshes()
+    bs = assemble_blocks(meshes[2], p, case.prob)
+    nM = p + 1
+    nb = len(bs.coupled_facets)
+    idx = np.arange(nb * nM).reshape(nb, nM)
+    blocks = bs.D.toarray()[idx[:, :, None], idx[:, None, :]]
+    # loose facets are pinned to identity blocks with untouched traces
+    loose = np.all(blocks == np.eye(nM), axis=(1, 2))
+    assert loose.any()
+    for f in bs.coupled_facets[loose]:
+        for k, loc in zip(bs.mesh.facet_elems[f], bs.mesh.facet_locals[f]):
+            if k >= 0:
+                assert not bs.elem_B[k, loc].any() and not bs.elem_C[k, loc].any()
+    # byte-equal to sp.block_diag of the same blocks: zeros stay stored
+    want = validate_csr(sp.block_diag(blocks, format="csr"))
+    assert bs.D.nnz == nb * nM * nM
+    for name in ("indptr", "indices", "data"):
+        assert same_bits(getattr(bs.D, name), getattr(want, name)), name
