@@ -6,150 +6,16 @@ elementwise polynomial unknowns through facet traces, and static condensation
 reduces everything to a facet Schur complement.  That system is solved with
 BiCGSTAB preconditioned by an approximate-ideal-restriction multigrid
 hierarchy, which stays robust down to the pure-advection limit.
+
+The package root holds the quick-start names; everything else is
+imported from its module (``sthdg.mesh``, ``sthdg.hdg``, ``sthdg.air``,
+``sthdg.solving``, ``sthdg.amr``, ``sthdg.experiments``, ...).
 """
 
-from .mesh import (
-    SpaceTimeMesh,
-    DeformationMap,
-    build_st_mesh,
-    deform_mesh,
-    classify_boundary,
-    bisect_refine,
-    extract_slab,
-    validate_mesh,
-    write_mesh,
-    read_mesh,
-    RefinementBudgetError,
-    TAG_INTERIOR,
-    TAG_DIRICHLET,
-    TAG_NEUMANN,
-    TAG_FINAL,
-)
-from .hdg import (
-    ProblemSpec,
-    BlockSystem,
-    CondensedSystem,
-    assemble_blocks,
-    condense,
-    reconstruct,
-    st_l2_error,
-    project,
-    default_penalty,
-)
-from .sparsela import (
-    SingularBlockError,
-    BlockDiagonalScaling,
-    block_diag_inverse_scale,
-    DenseLU,
-    spgemm,
-    write_matrix_market,
-    read_matrix_market,
-)
-from .air import (
-    AirParams,
-    AirHierarchy,
-    AirSetupError,
-    build_hierarchy,
-    vcycle,
-    strength_graph,
-    rs_coarsen,
-    lair_restriction,
-    one_point_interpolation,
-    ideal_restriction_dense,
-    galerkin_coarse,
-    topological_block_order,
-    RelaxationPlan,
-)
-from .krylov import bicgstab, BreakdownError, SolveReport
-from .solving import (
-    SolverParams,
-    SolverFailure,
-    CondensedSolve,
-    solve_condensed,
-    solve_problem,
-    SlabSolution,
-)
-from .amr import (
-    ErrorIndicatorField,
-    zz_estimate,
-    mark_fixed_fraction,
-    amr_loop,
-    AmrRecord,
-)
-from .cases import (
-    Case,
-    make_pulse1d,
-    make_layer1d,
-    make_polyexact,
-    build_case_mesh,
-    case_by_name,
-)
+from .cases import build_case_mesh, case_by_name
+from .hdg import st_l2_error
+from .solving import solve_problem
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SpaceTimeMesh",
-    "DeformationMap",
-    "build_st_mesh",
-    "deform_mesh",
-    "classify_boundary",
-    "bisect_refine",
-    "extract_slab",
-    "validate_mesh",
-    "write_mesh",
-    "read_mesh",
-    "RefinementBudgetError",
-    "TAG_INTERIOR",
-    "TAG_DIRICHLET",
-    "TAG_NEUMANN",
-    "TAG_FINAL",
-    "ProblemSpec",
-    "BlockSystem",
-    "CondensedSystem",
-    "assemble_blocks",
-    "condense",
-    "reconstruct",
-    "st_l2_error",
-    "project",
-    "default_penalty",
-    "SingularBlockError",
-    "BlockDiagonalScaling",
-    "block_diag_inverse_scale",
-    "DenseLU",
-    "spgemm",
-    "write_matrix_market",
-    "read_matrix_market",
-    "AirParams",
-    "AirHierarchy",
-    "AirSetupError",
-    "build_hierarchy",
-    "vcycle",
-    "strength_graph",
-    "rs_coarsen",
-    "lair_restriction",
-    "one_point_interpolation",
-    "ideal_restriction_dense",
-    "galerkin_coarse",
-    "topological_block_order",
-    "RelaxationPlan",
-    "bicgstab",
-    "BreakdownError",
-    "SolveReport",
-    "SolverParams",
-    "SolverFailure",
-    "CondensedSolve",
-    "solve_condensed",
-    "solve_problem",
-    "SlabSolution",
-    "ErrorIndicatorField",
-    "zz_estimate",
-    "mark_fixed_fraction",
-    "amr_loop",
-    "AmrRecord",
-    "Case",
-    "make_pulse1d",
-    "make_layer1d",
-    "make_polyexact",
-    "build_case_mesh",
-    "case_by_name",
-]
+__all__ = ["build_case_mesh", "case_by_name", "solve_problem", "st_l2_error"]

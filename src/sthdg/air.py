@@ -276,12 +276,11 @@ class TopologicalOrder:
     block_size: int
 
 
-def topological_block_order(A, block_size=1, droptol=0.0):
+def topological_block_order(A, block_size=1):
     """Order blocks so the matrix becomes (block) lower triangular.
 
     A dependency edge j -> i exists when block (i, j), i != j, holds an
-    entry with |value| > droptol * (inf-norm of block row i); droptol = 0
-    keeps any entry with nonzero value while ignoring explicit zeros.
+    entry with nonzero value; explicit zeros are ignored.
     Uses Kahn's algorithm with an index-min heap, so the order is
     deterministic; cycles are reported via strongly connected components.
     """
@@ -294,10 +293,7 @@ def topological_block_order(A, block_size=1, droptol=0.0):
     coo = A.tocoo()
     bi = coo.row // b
     bj = coo.col // b
-    off = bi != bj
-    rownorm = np.zeros(nb)
-    np.maximum.at(rownorm, coo.row // b, np.abs(coo.data))
-    keep = off & (np.abs(coo.data) > droptol * rownorm[bi])
+    keep = (bi != bj) & (np.abs(coo.data) > 0.0)
     # unique block edges j -> i  (i depends on j)
     eij = np.unique(bi[keep] * nb + bj[keep])
     src = (eij % nb).astype(np.int64)  # j

@@ -8,7 +8,16 @@ true residual above ``TRUE_RESIDUAL_FACTOR * tol``) and iteration order
 is deterministic, so repeated runs of the same configuration produce
 byte-identical files.
 Wall-clock stage timings go to a separate ``timings.txt`` precisely so
-they never perturb the tables.
+they never perturb the tables.  Its lines are ``<stage> <seconds>``, in
+the order the stages first ran, then ``total <seconds>`` for the whole
+run.  The ladder runners (``converge``, ``iterations`` and the uniform
+ladder of ``amr``) book ``mesh.build``, every stage in the ``timings``
+of :func:`sthdg.solving.solve_problem` (``mesh.extract_slab`` and
+``hdg.trace`` in slab mode, ``hdg.assemble``, ``hdg.condense``,
+``sparsela.block_scaling``, ``air.setup``, ``krylov.bicgstab``,
+``hdg.reconstruct``) and ``hdg.error``.  ``stagnation`` books the stages
+of its one solve; ``relaxcompare`` and ``ordercheck`` write only the
+total, and ``export`` writes no timings.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import configparser
 import io
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,7 +38,7 @@ from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
 from .solving import (SolverParams, accepted, scaled_system, solve_condensed,
-                      solve_problem)
+                      solve_problem, timed)
 from .sparsela import write_matrix_market
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
@@ -123,6 +133,16 @@ class ExperimentConfig:
             raise ConfigError("[experiment] p: must be >= 1")
         if not self.ladder:
             raise ConfigError("[experiment] ladder: must be nonempty")
+        self.ladder = tuple((int(a), int(b)) for a, b in self.ladder)
+        if any(n < 1 for entry in self.ladder for n in entry):
+            raise ConfigError("[experiment] ladder: mesh sizes must be >= 1")
+        if self.n0 < 1:
+            raise ConfigError("[experiment] n0: must be >= 1")
+        if self.cycles < 0:
+            raise ConfigError("[experiment] cycles: must be >= 0")
+        self.nus = tuple(float(v) for v in self.nus)
+        if any(nu < 0 for nu in self.nus):
+            raise ConfigError("[experiment] nus: viscosities must be >= 0")
         if self.tol <= 0:
             raise ConfigError("[solver] tol: must be positive")
         if self.maxiter < 1:
@@ -132,8 +152,6 @@ class ExperimentConfig:
         if self.relaxation not in _SCHEMES:
             raise ConfigError(
                 f"[solver] relaxation: must be one of {_SCHEMES}")
-        self.nus = tuple(float(v) for v in self.nus)
-        self.ladder = tuple((int(a), int(b)) for a, b in self.ladder)
 
     @classmethod
     def from_ini(cls, path=None, overrides=None):
@@ -228,26 +246,14 @@ def _write_csv(path, header, rows):
     return Path(path)
 
 
-class _Timer:
-    """Accumulates named wall-clock stages for timings.txt."""
-
-    def __init__(self):
-        self.stages = {}
-
-    def add(self, name, seconds):
-        self.stages[name] = self.stages.get(name, 0.0) + seconds
-
-    def absorb(self, timings):
-        for key, val in timings.items():
-            self.add(key.replace("_seconds", ""), val)
-
-    def write(self, outdir, total):
-        path = Path(outdir) / "timings.txt"
-        with open(path, "w", newline="\n") as fh:
-            for name in sorted(self.stages):
-                fh.write(f"{name} {self.stages[name]:.3f}\n")
-            fh.write(f"total {total:.3f}\n")
-        return path
+def _write_timings(outdir, stages, total):
+    """``timings.txt``: one ``name seconds`` line per stage, then ``total``."""
+    path = Path(outdir) / "timings.txt"
+    with open(path, "w", newline="\n") as fh:
+        for name, seconds in stages.items():
+            fh.write(f"{name} {seconds:.3f}\n")
+        fh.write(f"total {total:.3f}\n")
+    return path
 
 
 def _outdir(cfg):
@@ -256,43 +262,37 @@ def _outdir(cfg):
     return out
 
 
-def _solve_entry(cfg, case, nx, nt, params, timer):
-    """Build, solve, and measure one ladder entry; returns a result dict."""
-    mesh = build_case_mesh(case, nx, nt, mode=cfg.mode)
-    t0 = time.perf_counter()
+def _solve_entry(cfg, case, nx, nt, params, stages):
+    """Build, solve, and measure one ladder entry; returns a result dict.
+
+    The wall time of each stage is added to the ``stages`` Counter.
+    """
+    with timed(stages, "mesh.build"):
+        mesh = build_case_mesh(case, nx, nt, mode=cfg.mode)
     sol = solve_problem(mesh, cfg.p, case.prob, params)
-    total = time.perf_counter() - t0
-    if hasattr(sol, "slabs"):
-        dofs = sum(len(cz.lam) for _, cz in sol.slabs)
-        err = sol.error(cfg.p, case.prob.exact)
-        converged = all(accepted(cz.report, params.tol) for _, cz in sol.slabs)
-        inner = 0.0
-        for _, cz in sol.slabs:
-            timer.absorb(cz.timings)
-            inner += sum(cz.timings.values())
-    else:
-        dofs = len(sol.lam)
-        err = st_l2_error(mesh, cfg.p, sol.U, case.prob.exact)
-        converged = accepted(sol.report, params.tol)
-        timer.absorb(sol.timings)
-        inner = sum(sol.timings.values())
-    timer.add("assembly", max(total - inner, 0.0))
-    return {"mesh": mesh, "sol": sol, "dofs": dofs, "error": err,
-            "converged": converged, "elements": mesh.n_elements,
-            "seconds": total}
+    stages.update(sol.timings)
+    slab = hasattr(sol, "slabs")
+    solves = [cz for _, cz in sol.slabs] if slab else [sol]
+    with timed(stages, "hdg.error"):
+        err = (sol.error(cfg.p, case.prob.exact) if slab
+               else st_l2_error(mesh, cfg.p, sol.U, case.prob.exact))
+    return {"mesh": mesh, "sol": sol, "error": err,
+            "dofs": sum(len(cz.lam) for cz in solves),
+            "converged": all(accepted(cz.report, params.tol) for cz in solves),
+            "elements": mesh.n_elements}
 
 
 def run_converge(cfg):
     """Uniform-refinement error table; one row per (nu, ladder entry)."""
     out = _outdir(cfg)
-    timer = _Timer()
+    stages = Counter()
     t_start = time.perf_counter()
     rows = []
     for nu in cfg.nus:
         case = cfg.make_case(nu)
         prev = None
         for nx, nt in cfg.ladder:
-            res = _solve_entry(cfg, case, nx, nt, cfg.solver_params(), timer)
+            res = _solve_entry(cfg, case, nx, nt, cfg.solver_params(), stages)
             rate = "-" if prev is None else np.log2(prev / res["error"])
             rows.append([cfg.case, cfg.mode, cfg.p, nu, nx, nt,
                          res["elements"], res["dofs"], res["error"], rate])
@@ -300,14 +300,14 @@ def run_converge(cfg):
     path = _write_csv(out / "converge.csv",
                       ["case", "mode", "p", "nu", "nx", "nt", "elements",
                        "dofs", "l2_error", "rate"], rows)
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, stages, time.perf_counter() - t_start)
     return [path]
 
 
 def run_iterations(cfg):
     """Iteration-count grid: ladder rows against nu columns."""
     out = _outdir(cfg)
-    timer = _Timer()
+    stages = Counter()
     t_start = time.perf_counter()
     header = ["dofs"] + [f"nu={_fmt(nu)}" for nu in cfg.nus]
     grid = {}
@@ -316,15 +316,14 @@ def run_iterations(cfg):
     for nu in cfg.nus:
         case = cfg.make_case(nu)
         for entry in cfg.ladder:
-            res = _solve_entry(cfg, case, entry[0], entry[1], params, timer)
+            res = _solve_entry(cfg, case, entry[0], entry[1], params, stages)
             dofs_by_entry[entry] = res["dofs"]
-            sol = res["sol"]
-            its = sol.iterations if hasattr(sol, "iterations") else 0
-            grid[(entry, nu)] = its if res["converged"] else "-"
+            grid[(entry, nu)] = (res["sol"].iterations if res["converged"]
+                                 else "-")
     rows = [[dofs_by_entry[entry]] + [grid[(entry, nu)] for nu in cfg.nus]
             for entry in cfg.ladder]
     path = _write_csv(out / "iterations.csv", header, rows)
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, stages, time.perf_counter() - t_start)
     return [path]
 
 
@@ -357,16 +356,14 @@ def run_stagnation(cfg):
     path = _write_csv(out / "stagnation.csv",
                       ["iteration", "precond_residual", "true_residual",
                        "l2_error"], rows)
-    timer = _Timer()
-    timer.absorb(sol.timings)
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, sol.timings, time.perf_counter() - t_start)
     return [path]
 
 
 def run_amr(cfg):
     """Adaptive loop records plus a uniform ladder for comparison."""
     out = _outdir(cfg)
-    timer = _Timer()
+    stages = Counter()
     t_start = time.perf_counter()
     nu = cfg.nus[0]
     case = cfg.make_case(nu)
@@ -380,14 +377,14 @@ def run_amr(cfg):
                          "median_h"], rows)]
     urows = []
     for nx, nt in cfg.ladder:
-        res = _solve_entry(cfg, case, nx, nt, params, timer)
+        res = _solve_entry(cfg, case, nx, nt, params, stages)
         urows.append([nx, nt, res["dofs"], res["error"],
                       res["sol"].iterations,
                       float(np.median(res["mesh"].element_h))])
     paths.append(_write_csv(out / "amr_uniform.csv",
                             ["nx", "nt", "n_coupled", "l2_error",
                              "iterations", "median_h"], urows))
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, stages, time.perf_counter() - t_start)
     return paths
 
 
@@ -398,7 +395,6 @@ def run_relaxcompare(cfg):
     the same default relaxation, but on the unscaled facet system.
     """
     out = _outdir(cfg)
-    timer = _Timer()
     t_start = time.perf_counter()
     nu = cfg.nus[0]
     case = cfg.make_case(nu)
@@ -422,7 +418,7 @@ def run_relaxcompare(cfg):
         rows.append(row)
     path = _write_csv(out / "relaxcompare.csv",
                       ["n_coupled"] + list(_SCHEMES) + ["no_block_inv"], rows)
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, {}, time.perf_counter() - t_start)
     return [path]
 
 
@@ -455,8 +451,7 @@ def run_ordercheck(cfg):
     path = _write_csv(out / "ordercheck.csv",
                       ["nu", "dofs", "block_size", "n_blocks", "complete",
                        "n_cycle_blocks", "sweep_residual"], rows)
-    timer = _Timer()
-    timer.write(out, time.perf_counter() - t_start)
+    _write_timings(out, {}, time.perf_counter() - t_start)
     return [path]
 
 

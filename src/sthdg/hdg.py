@@ -398,10 +398,9 @@ def reconstruct(cs, lam):
     return U.ravel()
 
 
-def st_l2_error(mesh, p, U, exact, degree=None):
+def st_l2_error(mesh, p, U, exact):
     """Space-time L2 distance between U and a callable exact solution."""
-    deg = 2 * p + 4 if degree is None else degree
-    rq, rw = triangle_rule(deg)
+    rq, rw = triangle_rule(2 * p + 4)
     phi = triangle_basis(p).eval(rq)
     v, J, detJ, _ = _geometry(mesh)
     X = v[:, 0][:, None, :] + np.einsum("eij,qj->eqi", J, rq)
@@ -411,10 +410,9 @@ def st_l2_error(mesh, p, U, exact, degree=None):
     return float(np.sqrt(err2))
 
 
-def project(mesh, p, fn, degree=None):
+def project(mesh, p, fn):
     """Elementwise L2 projection of a callable onto P_p; returns (ne*nV,)."""
-    deg = 2 * p + 4 if degree is None else degree
-    rq, rw = triangle_rule(deg)
+    rq, rw = triangle_rule(2 * p + 4)
     phi = triangle_basis(p).eval(rq)
     v, J, detJ, _ = _geometry(mesh)
     X = v[:, 0][:, None, :] + np.einsum("eij,qj->eqi", J, rq)

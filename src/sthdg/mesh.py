@@ -484,18 +484,48 @@ def validate_mesh(mesh, tol=1e-12):
     closed = np.abs(flux[:, 0] + flux[:, 1] + flux[:, 2]).max(axis=1) < tol * scale
     assert closed.all(), f"element {np.argmin(closed)} normals do not close"
     # conformity: no vertex strictly inside a facet
-    va = mesh.vertices[mesh.facets[:, 0]]
-    vb = mesh.vertices[mesh.facets[:, 1]]
+    vert, fac = _hanging_pairs(mesh.vertices, mesh.facets, tol, scale)
+    assert not len(vert), \
+        f"vertex {vert[0]} hangs on facet {fac[vert == vert[0]]}"
+    return True
+
+
+def _hanging_pairs(vertices, facets, tol, scale):
+    """``(vertex, facet)`` index pairs with the vertex strictly inside the facet.
+
+    A vertex is inside when it lies within ``tol * scale`` of the facet
+    line, strictly between the ends (``tol < t < 1 - tol`` along it), and
+    is not an end.  Such a vertex lies in the facet's bounding box grown
+    by ``tol * scale``; the candidates are the vertices in the box grown
+    by twice that (for roundoff), taken from one sort on t, and only they
+    get the distance test.  Pairs are sorted by vertex, then facet.
+    """
+    va = vertices[facets[:, 0]]
+    vb = vertices[facets[:, 1]]
     d = vb - va
     L2 = np.sum(d * d, axis=1)
-    for i, p in enumerate(mesh.vertices):
-        tpar = np.sum((p - va) * d, axis=1) / L2
-        foot = va + tpar[:, None] * d
-        dist = np.hypot(*(p - foot).T)
-        on = (dist < tol * scale) & (tpar > tol) & (tpar < 1 - tol)
-        on &= (mesh.facets[:, 0] != i) & (mesh.facets[:, 1] != i)
-        assert not on.any(), f"vertex {i} hangs on facet {np.nonzero(on)[0]}"
-    return True
+    pad = 2.0 * tol * scale
+    lo = np.minimum(va, vb) - pad
+    hi = np.maximum(va, vb) + pad
+    order = np.argsort(vertices[:, 0], kind="stable")
+    ts = vertices[order, 0]
+    first = np.searchsorted(ts, lo[:, 0], "left")
+    count = np.searchsorted(ts, hi[:, 0], "right") - first
+    start = np.cumsum(count) - count
+    fac = np.repeat(np.arange(len(facets)), count)
+    vert = order[np.arange(count.sum()) + np.repeat(first - start, count)]
+    x = vertices[vert, 1]
+    cand = ((x >= lo[fac, 1]) & (x <= hi[fac, 1])
+            & (vert != facets[fac, 0]) & (vert != facets[fac, 1]))
+    fac, vert = fac[cand], vert[cand]
+    p = vertices[vert]
+    tpar = np.sum((p - va[fac]) * d[fac], axis=1) / L2[fac]
+    foot = va[fac] + tpar[:, None] * d[fac]
+    dist = np.hypot(*(p - foot).T)
+    on = (dist < tol * scale) & (tpar > tol) & (tpar < 1 - tol)
+    fac, vert = fac[on], vert[on]
+    srt = np.lexsort((fac, vert))
+    return vert[srt], fac[srt]
 
 
 # -- persistence --------------------------------------------------------

@@ -5,13 +5,19 @@ the facet system, scale on the left by the facet block-diagonal inverse,
 build the AIR hierarchy on the scaled operator, and run preconditioned
 BiCGSTAB.  Slab mode extracts one time slab at a time and hands each
 slab's top trace to the next slab as inflow-like Neumann data.
+
+This module is also the one stage clock: every solve returns a
+``timings`` dict of wall seconds per stage, named after the call it
+times (``hdg.assemble``, ``air.setup``, ...), filled by :func:`timed`
+around the call sites.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -20,10 +26,19 @@ from .hdg import (assemble_blocks, condense, line_trace_evaluator, reconstruct,
                   st_l2_error)
 from .krylov import bicgstab
 from .mesh import extract_slab
-from .sparsela import DenseLU, block_diag_inverse_scale
+from .sparsela import block_diag_inverse_scale
 
 __all__ = ["SolverParams", "SolverFailure", "CondensedSolve", "SlabSolution",
-           "accepted", "scaled_system", "solve_condensed", "solve_problem"]
+           "accepted", "scaled_system", "solve_condensed", "solve_problem",
+           "timed"]
+
+
+@contextmanager
+def timed(timings, stage):
+    """Add the wall time of the ``with`` body to ``timings[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
 class SolverFailure(RuntimeError):
@@ -39,16 +54,13 @@ def accepted(report, tol):
     """Whether a solve counts as converged at tolerance ``tol``.
 
     BiCGSTAB must converge and its true relative residual must be within
-    ``TRUE_RESIDUAL_FACTOR * tol``; a dense solve (``report`` None) always
-    counts.
+    ``TRUE_RESIDUAL_FACTOR * tol``.
     """
-    return report is None or (
-        report.converged and report.true_residual <= TRUE_RESIDUAL_FACTOR * tol)
+    return report.converged and report.true_residual <= TRUE_RESIDUAL_FACTOR * tol
 
 
 @dataclass
 class SolverParams:
-    method: str = "air_bicgstab"  # or "dense"
     tol: float = 1e-12
     maxiter: int = 5000
     scale_blocks: bool = True
@@ -60,13 +72,13 @@ class SolverParams:
 class CondensedSolve:
     lam: np.ndarray
     U: np.ndarray
-    report: object  # SolveReport or None for the dense path
+    report: object  # SolveReport
     hierarchy: object
-    timings: dict
+    timings: dict  # stage name -> wall seconds
 
     @property
     def iterations(self):
-        return self.report.iterations if self.report is not None else 0
+        return self.report.iterations
 
 
 def scaled_system(cs, scale_blocks=True):
@@ -91,26 +103,17 @@ def solve_condensed(cs, params=None, callback=None):
     """
     params = params or SolverParams()
     timings = {}
-    t0 = time.perf_counter()
-    if params.method == "dense":
-        lam = DenseLU(cs.S.toarray()).solve(cs.H)
-        timings["solve_seconds"] = time.perf_counter() - t0
-        U = reconstruct(cs, lam)
-        return CondensedSolve(lam=lam, U=U, report=None, hierarchy=None,
-                              timings=timings)
-    if params.method != "air_bicgstab":
-        raise ValueError(f"unknown solver method {params.method!r}")
-    Ss, Hs = scaled_system(cs, params.scale_blocks)
+    with timed(timings, "sparsela.block_scaling"):
+        Ss, Hs = scaled_system(cs, params.scale_blocks)
     air = params.air
     if air.block_size != cs.facet_block_size:
         air = replace(air, block_size=cs.facet_block_size)
-    hierarchy = build_hierarchy(Ss, air)
-    timings["setup_seconds"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    lam, report = bicgstab(Ss, Hs, hierarchy.as_preconditioner(),
-                           tol=params.tol, maxiter=params.maxiter,
-                           callback=callback)
-    timings["solve_seconds"] = time.perf_counter() - t1
+    with timed(timings, "air.setup"):
+        hierarchy = build_hierarchy(Ss, air)
+    with timed(timings, "krylov.bicgstab"):
+        lam, report = bicgstab(Ss, Hs, hierarchy.as_preconditioner(),
+                               tol=params.tol, maxiter=params.maxiter,
+                               callback=callback)
     if params.raise_on_failure and not accepted(report, params.tol):
         if not report.converged:
             raise SolverFailure(
@@ -120,9 +123,8 @@ def solve_condensed(cs, params=None, callback=None):
             f"true relative residual {report.true_residual:.3e} exceeds "
             f"{TRUE_RESIDUAL_FACTOR:g} x tol ({params.tol:.1e}) "
             f"after {report.iterations} iterations")
-    t2 = time.perf_counter()
-    U = reconstruct(cs, lam)
-    timings["reconstruct_seconds"] = time.perf_counter() - t2
+    with timed(timings, "hdg.reconstruct"):
+        U = reconstruct(cs, lam)
     return CondensedSolve(lam=lam, U=U, report=report, hierarchy=hierarchy,
                           timings=timings)
 
@@ -132,6 +134,7 @@ class SlabSolution:
     mesh: object
     slabs: list  # (slab_mesh, CondensedSolve)
     mode: str
+    timings: dict  # stage name -> wall seconds, summed over the march
 
     @property
     def iterations(self):
@@ -163,24 +166,43 @@ def _slab_neumann(base, transfer):
     return g_n
 
 
+def _condensed(mesh, p, prob, timings):
+    """Assemble and condense the HDG system on ``mesh``, booking both."""
+    with timed(timings, "hdg.assemble"):
+        blocks = assemble_blocks(mesh, p, prob)
+    with timed(timings, "hdg.condense"):
+        return condense(blocks)
+
+
 def solve_problem(mesh, p, prob, params=None, callback=None):
     """Solve on ``mesh`` according to its mode.
 
     all_at_once: one global condensed solve; returns a CondensedSolve.
     slab: sequential per-slab solves with trace transfer; returns a
     SlabSolution whose per-slab systems reuse the same solver settings.
+    Either result's ``timings`` books every stage of the call, summed
+    over all slabs in slab mode.
     """
     params = params or SolverParams()
     if mesh.mode != "slab":
-        cs = condense(assemble_blocks(mesh, p, prob))
-        return solve_condensed(cs, params, callback=callback)
+        timings = {}
+        cs = _condensed(mesh, p, prob, timings)
+        sol = solve_condensed(cs, params, callback=callback)
+        timings.update(sol.timings)
+        sol.timings = timings
+        return sol
+    timings = Counter()
     slabs = []
     transfer = None
     for n in range(mesh.n_slabs):
-        sub, _, _ = extract_slab(mesh, n)
+        with timed(timings, "mesh.extract_slab"):
+            sub, _, _ = extract_slab(mesh, n)
         sprob = replace(prob, neumann=_slab_neumann(prob.neumann, transfer))
-        cs = condense(assemble_blocks(sub, p, sprob))
+        cs = _condensed(sub, p, sprob, timings)
         sol = solve_condensed(cs, params)
+        timings.update(sol.timings)
         slabs.append((sub, sol))
-        transfer = line_trace_evaluator(sub, p, sol.U, side="tmax")
-    return SlabSolution(mesh=mesh, slabs=slabs, mode="slab")
+        with timed(timings, "hdg.trace"):
+            transfer = line_trace_evaluator(sub, p, sol.U, side="tmax")
+    return SlabSolution(mesh=mesh, slabs=slabs, mode="slab",
+                        timings=dict(timings))

@@ -144,7 +144,7 @@ class DenseLU:
 # -- Matrix Market persistence ------------------------------------------
 
 
-def write_matrix_market(path, M, comment=""):
+def write_matrix_market(path, M):
     """Write a sparse matrix (coordinate) or vector/array (array format).
 
     Values use the %.17g format so that doubles round-trip exactly.
@@ -153,8 +153,6 @@ def write_matrix_market(path, M, comment=""):
         if sp.issparse(M):
             A = validate_csr(M).tocoo()
             f.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                f.write(f"%{comment}\n")
             f.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
             for i, j, v in zip(A.row, A.col, A.data):
                 f.write("%d %d %.17g\n" % (i + 1, j + 1, v))
@@ -163,8 +161,6 @@ def write_matrix_market(path, M, comment=""):
             if arr.shape[0] == 1 and np.asarray(M).ndim == 1:
                 arr = arr.T
             f.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                f.write(f"%{comment}\n")
             f.write(f"{arr.shape[0]} {arr.shape[1]}\n")
             for j in range(arr.shape[1]):  # column-major per the format
                 for i in range(arr.shape[0]):

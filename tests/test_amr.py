@@ -1,18 +1,40 @@
 import numpy as np
 import pytest
 
+import sthdg.amr
+import sthdg.cases
 from sthdg.amr import (AmrRecord, ErrorIndicatorField, amr_loop,
                        mark_fixed_fraction, zz_estimate)
 from sthdg.cases import build_case_mesh, make_layer1d, make_polyexact
 from sthdg.hdg import project
-from sthdg.mesh import bisect_refine
+from sthdg.mesh import bisect_refine, validate_mesh
+
+
+@pytest.fixture(autouse=True)
+def validated_meshes(monkeypatch):
+    """Every mesh amr_loop builds or refines must pass validate_mesh."""
+
+    def checked(make):
+        def make_and_validate(*args, **kwargs):
+            m = make(*args, **kwargs)
+            validate_mesh(m)
+            return m
+
+        return make_and_validate
+
+    monkeypatch.setattr(sthdg.cases, "build_case_mesh",
+                        checked(sthdg.cases.build_case_mesh))
+    monkeypatch.setattr(sthdg.amr, "bisect_refine",
+                        checked(sthdg.amr.bisect_refine))
 
 
 @pytest.fixture(scope="module")
 def mesh():
     m = build_case_mesh(make_polyexact(1), 5, 4, mode="all_at_once")
     # refine a few elements so the vertex patches are not all structured
-    return bisect_refine(m, [0, 3, 11])
+    m = bisect_refine(m, [0, 3, 11])
+    validate_mesh(m)
+    return m
 
 
 def test_zz_vanishes_on_globally_linear_fields(mesh):

@@ -1,4 +1,6 @@
+import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
                                run_iterations, run_ordercheck,
                                run_relaxcompare, run_stagnation)
 from sthdg.hdg import assemble_blocks, condense
-from sthdg.solving import SolverFailure, SolverParams, solve_condensed
+from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
+                           solve_problem)
 from sthdg.sparsela import read_matrix_market
 
 
@@ -41,6 +44,10 @@ def test_config_validation_errors():
         cfg(tol=-1.0)
     with pytest.raises(ConfigError):
         cfg(mode="sideways")
+    for key, bad in (("ladder", ((0, 4),)), ("ladder", ((8, 8), (4, -1))),
+                     ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6))):
+        with pytest.raises(ConfigError, match=key):
+            cfg(**{key: bad})
 
 
 def test_config_from_ini_and_overrides(tmp_path):
@@ -97,6 +104,44 @@ def test_converge_csv_shape_and_determinism(tmp_path):
     c2 = cfg(outdir=str(tmp_path / "b"))
     (path2,) = run_converge(c2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+SOLVE_STAGES = ["sparsela.block_scaling", "air.setup", "krylov.bicgstab",
+                "hdg.reconstruct"]
+
+
+@pytest.mark.parametrize("mode, stages", [
+    ("all_at_once", ["hdg.assemble", "hdg.condense", *SOLVE_STAGES]),
+    ("slab", ["mesh.extract_slab", "hdg.assemble", "hdg.condense",
+              *SOLVE_STAGES, "hdg.trace"]),
+], ids=["all_at_once", "slab"])
+def test_solve_problem_books_every_stage_once_per_system(monkeypatch, mode,
+                                                         stages):
+    # a clock that ticks once per reading books 1 per timed call site
+    monkeypatch.setattr(sthdg.solving, "time",
+                        SimpleNamespace(perf_counter=itertools.count().__next__))
+    case = case_by_name("pulse1d", p=1, nu=1e-2)
+    mesh = build_case_mesh(case, 4, 3, mode=mode)
+    sol = solve_problem(mesh, 1, case.prob)
+    systems = 3 if mode == "slab" else 1
+    assert sol.timings == {name: systems for name in stages}
+    assert list(sol.timings) == stages
+    if mode == "slab":
+        assert all(s.timings == dict.fromkeys(SOLVE_STAGES, 1)
+                   for _, s in sol.slabs)
+
+
+def test_converge_timings_are_stages_and_total(tmp_path):
+    (path,) = run_converge(cfg(outdir=str(tmp_path), mode="slab"))
+    lines = [line.split() for line in
+             (tmp_path / "timings.txt").read_text().splitlines()]
+    names = [name for name, _ in lines]
+    assert names == ["mesh.build", "mesh.extract_slab", "hdg.assemble",
+                     "hdg.condense", *SOLVE_STAGES, "hdg.trace", "hdg.error",
+                     "total"]
+    seconds = [float(v) for _, v in lines]
+    # disjoint stages inside the total; each value is rounded to the ms
+    assert sum(seconds[:-1]) <= seconds[-1] + 5e-4 * len(lines)
 
 
 def test_iterations_csv_grid(tmp_path):
@@ -194,6 +239,15 @@ def test_cli_unknown_relaxation_exit_2(tmp_path, capsys):
     code = main(["converge", "--config", str(bad), "--out", str(tmp_path)])
     assert code == 2
     assert "relaxation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["ladder = 0x4", "n0 = 0"])
+def test_cli_bad_mesh_size_exit_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[experiment]\n{line}\n")
+    code = main(["converge", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert line.split()[0] in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_3(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Mesh topology and facet grouping from index arithmetic against the
-loops they replaced.
+"""Mesh topology, facet grouping and the conformity check from index
+arithmetic against the loops they replaced.
 
 ``build_st_mesh`` builds vertices, elements, slab ids and side labels
 from ``arange`` arithmetic, and ``SpaceTimeMesh`` numbers its facets
@@ -9,7 +9,10 @@ oracles; every connectivity array, the side labels (insertion order
 included) and the facet normals must match them bitwise.  The facet
 side groups of ``assemble_blocks`` set the order in which element
 blocks are accumulated, so they must match the per-side loop in group
-order, member order and dtype.
+order, member order and dtype.  ``validate_mesh``'s conformity check
+tests only the vertices in each facet's bounding box, found by a sort on
+t; it must report exactly the (vertex, facet) pairs of the loop that
+tests every vertex against every facet.
 """
 
 import numpy as np
@@ -19,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import _facet_side_groups, assemble_blocks
-from sthdg.mesh import (SIDE_NAMES, DeformationMap, bisect_refine,
-                        build_st_mesh, classify_boundary, deform_mesh,
-                        extract_slab, validate_mesh)
+from sthdg.mesh import (SIDE_NAMES, DeformationMap, _hanging_pairs,
+                        bisect_refine, build_st_mesh, classify_boundary,
+                        deform_mesh, extract_slab, validate_mesh)
 from sthdg.sparsela import validate_csr
 
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -211,6 +214,54 @@ def test_random_bisection_matches_loop_and_stays_conforming(nx, nt, seed, rounds
         mesh = bisect_refine(mesh, marked)
         assert_connectivity_matches_loop(mesh)
         validate_mesh(mesh)
+
+
+def hanging_pairs_loop(vertices, facets, tol, scale):
+    """validate_mesh's conformity check, one vertex against every facet."""
+    va = vertices[facets[:, 0]]
+    vb = vertices[facets[:, 1]]
+    d = vb - va
+    L2 = np.sum(d * d, axis=1)
+    pairs = []
+    for i, p in enumerate(vertices):
+        tpar = np.sum((p - va) * d, axis=1) / L2
+        foot = va + tpar[:, None] * d
+        dist = np.hypot(*(p - foot).T)
+        on = (dist < tol * scale) & (tpar > tol) & (tpar < 1 - tol)
+        on &= (facets[:, 0] != i) & (facets[:, 1] != i)
+        pairs += [(i, int(f)) for f in np.nonzero(on)[0]]
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 5), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-12, 1e-6, 1e-3]))
+def test_hanging_pairs_match_loop(nx, nt, seed, tol):
+    mesh = deform_mesh(classify_boundary(build_st_mesh(nx, nt)),
+                       DeformationMap(0.1))
+    rng = np.random.default_rng(seed)
+    mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=2, replace=False))
+    scale = max(abs(v) for v in mesh.box) + 1.0
+    # extra vertices on, near and just off random facets, the first one
+    # at a midpoint; the offsets straddle the tolerance on either test
+    n = 60
+    f = rng.integers(len(mesh.facets), size=n)
+    a = mesh.vertices[mesh.facets[f, 0]]
+    d = mesh.vertices[mesh.facets[f, 1]] - a
+    edge = np.array([0.0, 0.5, 0.99, 1.01, 2.0, 3.0]) * tol
+    t = np.where(rng.random(n) < 0.5, rng.random(n),
+                 rng.choice(np.concatenate([edge, 1.0 - edge]), size=n))
+    off = rng.choice(edge, size=n) * scale * rng.choice([-1.0, 1.0], size=n)
+    normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / np.hypot(*d.T)[:, None]
+    pts = a + t[:, None] * d + off[:, None] * normal
+    t[0], pts[0] = 0.5, a[0] + 0.5 * d[0]
+    vertices = np.vstack([mesh.vertices, pts])
+    want = hanging_pairs_loop(vertices, mesh.facets, tol, scale)
+    assert (mesh.n_vertices, f[0]) in want
+    vert, fac = _hanging_pairs(vertices, mesh.facets, tol, scale)
+    assert list(zip(vert.tolist(), fac.tolist())) == want
+    # the meshes themselves conform
+    assert not len(_hanging_pairs(mesh.vertices, mesh.facets, tol, scale)[0])
 
 
 def assert_groups_match_loop(mesh):
