@@ -426,12 +426,15 @@ def _factored_solve(M, block_size):
 # -- hierarchy ----------------------------------------------------------
 
 
+# coarsening stops at this many rows (dense LU there) or this many levels
+MAX_COARSE = 40
+MAX_LEVELS = 25
+
+
 @dataclass
 class AirParams:
     theta_c: float = 0.2  # coarsening strength tolerance
     theta_r: float = 0.3  # restriction neighborhood tolerance
-    max_coarse: int = 40
-    max_levels: int = 25
     relaxation: str = "f_then_all_fgs"
     block_size: int = 1  # relaxation block size on the finest level
 
@@ -449,7 +452,6 @@ class AirLevel:
 class AirHierarchy:
     levels: list
     coarse_lu: DenseLU
-    params: AirParams
     lair_fallbacks: int = 0
 
     @property
@@ -472,7 +474,7 @@ class AirHierarchy:
 def build_hierarchy(A, params=None):
     """Set up the AIR hierarchy for ``A``.
 
-    Coarsening stops at ``max_coarse`` rows (dense LU there).  If the CF
+    Coarsening stops at ``MAX_COARSE`` rows (dense LU there).  If the CF
     splitting stagnates (all C or all F), the level is sent to the dense
     solver when small enough, otherwise setup fails with
     :class:`AirSetupError`.
@@ -481,13 +483,12 @@ def build_hierarchy(A, params=None):
     A = validate_csr(A)
     levels = []
     fallbacks = 0
-    while (A.shape[0] > params.max_coarse and
-           len(levels) < params.max_levels - 1):
+    while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
         g = strength_graph(A, params.theta_c)
         cf = rs_coarsen(g)
         nc = cf.n_coarse
         if nc == A.shape[0] or nc == 0:
-            if A.shape[0] <= 4 * params.max_coarse:
+            if A.shape[0] <= 4 * MAX_COARSE:
                 break  # close enough: hand to the dense coarse solver
             raise AirSetupError(
                 f"coarsening stagnated at n={A.shape[0]} (n_coarse={nc})")
@@ -500,7 +501,7 @@ def build_hierarchy(A, params=None):
         A = galerkin_coarse(R, A, P)
     levels.append(AirLevel(A=A, R=None, P=None, cf=None, plan=None))
     return AirHierarchy(levels=levels, coarse_lu=DenseLU(A.toarray()),
-                        params=params, lair_fallbacks=fallbacks)
+                        lair_fallbacks=fallbacks)
 
 
 def vcycle(h: AirHierarchy, b, x=None, level=0):

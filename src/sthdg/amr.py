@@ -97,7 +97,7 @@ class AmrRecord:
 
 
 def amr_loop(case, p, cycles, params=None, n0=8, fraction=0.1,
-             max_elements=None, keep_meshes=False):
+             keep_meshes=False):
     """Run solve -> estimate -> mark -> refine for `cycles` rounds.
 
     Starts from a uniform n0 x n0 mesh of `case` and returns one
@@ -129,5 +129,5 @@ def amr_loop(case, p, cycles, params=None, n0=8, fraction=0.1,
         if field.global_estimate <= 1e-10 * (1.0 + np.abs(sol.U).max()):
             break
         marked = mark_fixed_fraction(field, fraction)
-        mesh = bisect_refine(mesh, marked, max_elements=max_elements)
+        mesh = bisect_refine(mesh, marked)
     return records

@@ -10,9 +10,10 @@ import argparse
 import sys
 
 from .air import AirSetupError
-from .experiments import (ConfigError, ExperimentConfig, defaults_text,
-                          run_amr, run_converge, run_export, run_iterations,
-                          run_ordercheck, run_relaxcompare, run_stagnation)
+from .experiments import (_CASES, _MODES, ConfigError, ExperimentConfig,
+                          defaults_text, run_amr, run_converge, run_export,
+                          run_iterations, run_ordercheck, run_relaxcompare,
+                          run_stagnation)
 from .solving import SolverFailure
 from .sparsela import SingularBlockError
 
@@ -38,14 +39,12 @@ def build_parser():
                          help="INI config file overlaying the defaults")
         cmd.add_argument("--out", default=None, metavar="DIR",
                          help="output directory")
-        cmd.add_argument("--case", default=None,
-                         choices=["pulse1d", "layer1d", "polyexact"])
+        cmd.add_argument("--case", default=None, choices=_CASES)
         cmd.add_argument("--p", type=int, default=None,
                          help="polynomial degree")
         cmd.add_argument("--nu", type=float, default=None,
                          help="viscosity (replaces the configured nu list)")
-        cmd.add_argument("--mode", default=None,
-                         choices=["slab", "all", "all_at_once"])
+        cmd.add_argument("--mode", default=None, choices=_MODES)
     sub.add_parser("defaults", help="print the built-in configuration")
     return parser
 

@@ -1,5 +1,12 @@
 """Batch experiment drivers emitting deterministic CSV tables.
 
+Every setting is one field of :class:`ExperimentConfig`, and the
+dataclass defaults are the only default table: :func:`defaults_text`
+renders them as the INI file ``sthdg defaults`` prints, and
+:meth:`ExperimentConfig.from_ini` overlays an INI file and then explicit
+overrides, typing both with one parser, so every bad key or value raises
+a :class:`ConfigError` that names it.
+
 Each runner builds its meshes and systems from an
 :class:`ExperimentConfig`, solves with the production pipeline, and
 writes plain CSV.  Formatting is fixed (``repr`` for floats, ``-`` for
@@ -26,7 +33,7 @@ import configparser
 import io
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,43 +57,20 @@ _MODES = ("all_at_once", "slab")
 _CASES = ("pulse1d", "layer1d", "polyexact")
 _SCHEMES = ("f_then_all_fgs", "fgs", "jacobi", "ordered_block_gs")
 
-_DEFAULTS = {
-    "experiment": {
-        "case": "pulse1d",
-        "mode": "all_at_once",
-        "p": "1",
-        "nus": "1e-6",
-        "ladder": "8,16,32,64",
-        "cycles": "6",
-        "n0": "8",
-        "fraction": "0.12",
-        "deformed": "false",
-    },
-    "solver": {
-        "tol": "1e-12",
-        "maxiter": "5000",
-        "relaxation": "f_then_all_fgs",
-        "theta_c": "0.2",
-        "theta_r": "0.3",
-        "scale_blocks": "true",
-    },
-    "output": {
-        "outdir": "results",
-    },
+# INI section of every ExperimentConfig field, in the order
+# ``sthdg defaults`` prints them; the defaults are the dataclass's own
+_SECTIONS = {
+    "case": "experiment", "mode": "experiment", "p": "experiment",
+    "nus": "experiment", "ladder": "experiment", "cycles": "experiment",
+    "n0": "experiment", "fraction": "experiment", "deformed": "experiment",
+    "tol": "solver", "maxiter": "solver", "relaxation": "solver",
+    "theta_c": "solver", "theta_r": "solver", "scale_blocks": "solver",
+    "outdir": "output",
 }
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, value, or file)."""
-
-
-def defaults_text():
-    """The built-in defaults, rendered as a config file."""
-    cp = configparser.ConfigParser()
-    cp.read_dict(_DEFAULTS)
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def _parse_ladder(text):
@@ -103,8 +87,41 @@ def _parse_ladder(text):
     return ladder
 
 
+def _parse(key, text, default):
+    """Type the INI or override string ``text`` of field ``key`` like its
+    ``default``; a value that does not parse is a :class:`ConfigError`
+    naming ``key``."""
+    text = text.strip()
+    try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if key == "ladder":
+            return tuple(_parse_ladder(text))
+        if key == "nus":
+            return tuple(float(v) for v in text.split(","))
+        return type(default)(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"[{_SECTIONS[key]}] {key}: cannot parse {text!r}") \
+            from exc
+
+
+def _ini_text(key, value):
+    """Field ``key``'s ``value`` as :func:`_parse` reads it from a file."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if key == "ladder":
+        return ",".join(str(a) if a == b else f"{a}x{b}" for a, b in value)
+    if key == "nus":
+        return ",".join(map(_fmt, value))
+    return _fmt(value)
+
+
 @dataclass
 class ExperimentConfig:
+    """Every experiment setting and its default, grouped into INI sections
+    by ``_SECTIONS``; construction validates every value.  The solver
+    defaults are those of :class:`SolverParams` and :class:`AirParams`."""
+
     case: str = "pulse1d"
     mode: str = "all_at_once"
     p: int = 1
@@ -114,19 +131,17 @@ class ExperimentConfig:
     n0: int = 8
     fraction: float = 0.12
     deformed: bool = False
-    tol: float = 1e-12
-    maxiter: int = 5000
-    relaxation: str = "f_then_all_fgs"
-    theta_c: float = 0.2
-    theta_r: float = 0.3
-    scale_blocks: bool = True
+    tol: float = SolverParams.tol
+    maxiter: int = SolverParams.maxiter
+    relaxation: str = AirParams.relaxation
+    theta_c: float = AirParams.theta_c
+    theta_r: float = AirParams.theta_r
+    scale_blocks: bool = SolverParams.scale_blocks
     outdir: str = "results"
 
     def __post_init__(self):
         if self.case not in _CASES:
             raise ConfigError(f"[experiment] case: unknown case {self.case!r}")
-        if self.mode == "all":
-            self.mode = "all_at_once"
         if self.mode not in _MODES:
             raise ConfigError(f"[experiment] mode: must be one of {_MODES}")
         if self.p < 1:
@@ -143,7 +158,7 @@ class ExperimentConfig:
         self.nus = tuple(float(v) for v in self.nus)
         if any(nu < 0 for nu in self.nus):
             raise ConfigError("[experiment] nus: viscosities must be >= 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("[solver] tol: must be positive")
         if self.maxiter < 1:
             raise ConfigError("[solver] maxiter: must be >= 1")
@@ -152,18 +167,23 @@ class ExperimentConfig:
         if self.relaxation not in _SCHEMES:
             raise ConfigError(
                 f"[solver] relaxation: must be one of {_SCHEMES}")
+        # a strength threshold is a fraction of the row maximum
+        for key in ("theta_c", "theta_r"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"[solver] {key}: must lie in [0, 1]")
 
     @classmethod
     def from_ini(cls, path=None, overrides=None):
-        """Load defaults, then an INI file, then explicit overrides.
+        """The defaults, overlaid by an INI file, then by explicit overrides.
 
         ``overrides`` maps flat field names (``case``, ``p``, ...) to
-        string or already-typed values; unknown keys raise
-        :class:`ConfigError` naming the offending entry.
+        string or already-typed values.  INI values and string overrides
+        are typed by the same parser; an unknown section or key and a
+        value that does not parse raise :class:`ConfigError` naming it.
         """
-        cp = configparser.ConfigParser()
-        cp.read_dict(_DEFAULTS)
+        given = {}
         if path is not None:
+            cp = configparser.ConfigParser()
             try:
                 with open(path) as fh:
                     cp.read_file(fh)
@@ -172,51 +192,23 @@ class ExperimentConfig:
             except configparser.Error as exc:
                 raise ConfigError(f"malformed config {path}: {exc}") from exc
             for sec in cp.sections():
-                if sec not in _DEFAULTS:
+                if sec not in _SECTIONS.values():
                     raise ConfigError(f"unknown config section [{sec}]")
-                for key in cp[sec]:
-                    if key not in _DEFAULTS[sec]:
+                for key, text in cp[sec].items():
+                    if _SECTIONS.get(key) != sec:
                         raise ConfigError(f"unknown config key [{sec}] {key}")
-        kw = {}
-        try:
-            exp, sol, out = cp["experiment"], cp["solver"], cp["output"]
-            kw["case"] = exp["case"].strip()
-            kw["mode"] = exp["mode"].strip()
-            kw["p"] = exp.getint("p")
-            kw["nus"] = tuple(float(v) for v in exp["nus"].split(","))
-            kw["ladder"] = tuple(_parse_ladder(exp["ladder"]))
-            kw["cycles"] = exp.getint("cycles")
-            kw["n0"] = exp.getint("n0")
-            kw["fraction"] = exp.getfloat("fraction")
-            kw["deformed"] = exp.getboolean("deformed")
-            kw["tol"] = sol.getfloat("tol")
-            kw["maxiter"] = sol.getint("maxiter")
-            kw["relaxation"] = sol["relaxation"].strip()
-            kw["theta_c"] = sol.getfloat("theta_c")
-            kw["theta_r"] = sol.getfloat("theta_r")
-            kw["scale_blocks"] = sol.getboolean("scale_blocks")
-            kw["outdir"] = out["outdir"].strip()
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+                    given[key] = text
         for key, val in (overrides or {}).items():
-            if key not in kw:
+            if key not in _SECTIONS:
                 raise ConfigError(f"unknown config override {key!r}")
-            if isinstance(val, str) and not isinstance(kw[key], str):
-                try:
-                    if key == "nus":
-                        val = tuple(float(v) for v in val.split(","))
-                    elif key == "ladder":
-                        val = tuple(_parse_ladder(val))
-                    elif isinstance(kw[key], bool):
-                        val = cp.BOOLEAN_STATES[val.lower()]
-                    else:
-                        val = type(kw[key])(val)
-                except (KeyError, ValueError) as exc:
-                    raise ConfigError(f"bad override {key} = {val!r}") from exc
-            kw[key] = val
-        return cls(**kw)
+            given[key] = val
+        defaults = cls()
+        return cls(**{key: _parse(key, val, getattr(defaults, key))
+                      if isinstance(val, str) else val
+                      for key, val in given.items()})
 
     def solver_params(self, raise_on_failure=True):
+        """The :class:`~sthdg.solving.SolverParams` these settings select."""
         return SolverParams(
             tol=self.tol, maxiter=self.maxiter,
             scale_blocks=self.scale_blocks,
@@ -226,6 +218,19 @@ class ExperimentConfig:
 
     def make_case(self, nu):
         return case_by_name(self.case, p=self.p, nu=nu, deformed=self.deformed)
+
+
+def defaults_text():
+    """The :class:`ExperimentConfig` defaults, rendered as a config file."""
+    sections = {}
+    for f in fields(ExperimentConfig):
+        sections.setdefault(_SECTIONS[f.name], {})[f.name] = \
+            _ini_text(f.name, f.default)
+    cp = configparser.ConfigParser()
+    cp.read_dict(sections)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def _fmt(v):
@@ -400,21 +405,16 @@ def run_relaxcompare(cfg):
     case = cfg.make_case(nu)
     records = amr_loop(case, cfg.p, cfg.cycles, params=cfg.solver_params(),
                        n0=cfg.n0, fraction=cfg.fraction, keep_meshes=True)
+    columns = ([replace(cfg, relaxation=scheme).solver_params(False)
+                for scheme in _SCHEMES] +
+               [replace(cfg, scale_blocks=False).solver_params(False)])
     rows = []
     for rec in records:
         cs = condense(assemble_blocks(rec.mesh, cfg.p, case.prob))
         row = [rec.n_coupled]
-        for scheme in _SCHEMES:
-            params = replace(cfg.solver_params(raise_on_failure=False),
-                             air=AirParams(theta_c=cfg.theta_c,
-                                           theta_r=cfg.theta_r,
-                                           relaxation=scheme))
+        for params in columns:
             sol = solve_condensed(cs, params)
             row.append(sol.iterations if accepted(sol.report, params.tol) else "-")
-        params = replace(cfg.solver_params(raise_on_failure=False),
-                         scale_blocks=False)
-        sol = solve_condensed(cs, params)
-        row.append(sol.iterations if accepted(sol.report, params.tol) else "-")
         rows.append(row)
     path = _write_csv(out / "relaxcompare.csv",
                       ["n_coupled"] + list(_SCHEMES) + ["no_block_inv"], rows)

@@ -37,7 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import segment_basis, triangle_basis, tri_space_dim
-from .mesh import TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, _LOCAL_EDGES
+from .mesh import (TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, _LOCAL_EDGES,
+                   _SIDE_ID)
 from .quadrature import segment_rule, triangle_rule
 from .sparsela import SingularBlockError, block_diag_csr, validate_csr
 
@@ -81,7 +82,6 @@ class ProblemSpec:
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None  # rows (u_t, u_x)
     neumann_sides: tuple = ()
-    penalty: Optional[float] = None
     name: str = ""
 
     def velocity_at(self, points):
@@ -160,7 +160,6 @@ class BlockSystem:
     """Assembled four-block system in element/facet-local storage."""
 
     mesh: object
-    p: int
     nV: int
     facet_block_size: int
     elem_A: np.ndarray  # (ne, nV, nV)
@@ -171,7 +170,6 @@ class BlockSystem:
     D: sp.csr_matrix
     G: np.ndarray
     coupled_facets: np.ndarray
-    facet_block: np.ndarray  # (nf,) block index or -1
 
     @property
     def n_lambda(self):
@@ -215,7 +213,6 @@ class CondensedSystem:
     S: sp.csr_matrix
     H: np.ndarray
     facet_block_size: int
-    p: int
     mesh: object
     elem_Ainv: np.ndarray  # (ne, nV, nV)
     elem_Brect: np.ndarray  # (ne, nV, 3*nM)
@@ -236,7 +233,7 @@ def assemble_blocks(mesh, p, prob):
     if len(bnd) and np.any(mesh.boundary_tags[bnd] == 0):
         raise ValueError("mesh boundary is unclassified; run classify_boundary first")
     nu = float(prob.nu)
-    alpha = default_penalty(p) if prob.penalty is None else float(prob.penalty)
+    alpha = default_penalty(p)
     rq, rw, phi, gref, sseg, wf, psi, traces = _tables(p)
     nV = tri_space_dim(p)
     nM = p + 1
@@ -347,12 +344,11 @@ def assemble_blocks(mesh, p, prob):
     facet_block = np.full(nf, -1, dtype=np.int64)
     facet_block[coupled] = np.arange(len(coupled))
     elem_facet_block = facet_block[mesh.elem_facets]
-    return BlockSystem(mesh=mesh, p=p, nV=nV, facet_block_size=nM,
+    return BlockSystem(mesh=mesh, nV=nV, facet_block_size=nM,
                        elem_A=elem_A, elem_F=elem_F, elem_B=elem_B, elem_C=elem_C,
                        elem_facet_block=elem_facet_block,
                        D=validate_csr(block_diag_csr(D_blocks[coupled])),
-                       G=G_blocks[coupled].ravel(), coupled_facets=coupled,
-                       facet_block=facet_block)
+                       G=G_blocks[coupled].ravel(), coupled_facets=coupled)
 
 
 def condense(bs):
@@ -383,7 +379,7 @@ def condense(bs):
     S = bs.D + sp.coo_matrix((-Sloc[pair], (rows, cols)), shape=(nL, nL)).tocsr()
     H = bs.G.copy()
     np.subtract.at(H, gather[valid], Hloc[valid])
-    return CondensedSystem(S=validate_csr(S), H=H, facet_block_size=nM, p=bs.p,
+    return CondensedSystem(S=validate_csr(S), H=H, facet_block_size=nM,
                            mesh=bs.mesh, elem_Ainv=Ainv, elem_Brect=Brect,
                            elem_F=bs.elem_F, gather_index=gather,
                            coupled_facets=bs.coupled_facets)
@@ -422,18 +418,16 @@ def project(mesh, p, fn):
     return np.einsum("q,eq,qi->ei", rw, fv, phi).ravel()
 
 
-def line_trace_evaluator(mesh, p, U, side="tmax"):
-    """Evaluator for the solution trace on one straight boundary side.
+def line_trace_evaluator(mesh, p, U):
+    """Evaluator for the solution trace on the final-time side ``tmax``.
 
     Returns a callable mapping (n, 2) space-time points on that side to
     solution values, used to hand a slab's top trace to the next slab as
     inflow data.  Lookup is by the spatial coordinate.
     """
-    from .mesh import SIDE_NAMES
-    sid = SIDE_NAMES.index(side)
-    fsel = np.nonzero(mesh.boundary_sides == sid)[0]
+    fsel = np.nonzero(mesh.boundary_sides == _SIDE_ID["tmax"])[0]
     if len(fsel) == 0:
-        raise ValueError(f"mesh has no boundary facets on side {side!r}")
+        raise ValueError("mesh has no boundary facets on side 'tmax'")
     xs = mesh.vertices[mesh.facets[fsel]][:, :, 1]
     lo = xs.min(axis=1)
     order = np.argsort(lo)

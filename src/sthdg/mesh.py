@@ -95,7 +95,7 @@ class SpaceTimeMesh:
     """
 
     def __init__(self, vertices, elements, slab_index, side_of_edge, mode, box,
-                 n_slabs=None, lineage=None):
+                 n_slabs=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self.slab_index = np.asarray(slab_index, dtype=np.int64)
@@ -103,7 +103,6 @@ class SpaceTimeMesh:
         self.mode = mode
         self.box = tuple(float(v) for v in box)
         self.n_slabs = int(n_slabs) if n_slabs is not None else int(self.slab_index.max()) + 1
-        self.lineage = lineage
         self.neumann_sides = None  # set by classify_boundary
         self._build_connectivity()
 
@@ -208,7 +207,7 @@ class SpaceTimeMesh:
         """Same topology and labels with new coordinates."""
         m = SpaceTimeMesh(vertices, self.elements, self.slab_index,
                           self.side_of_edge, self.mode, self.box,
-                          n_slabs=self.n_slabs, lineage=self.lineage)
+                          n_slabs=self.n_slabs)
         if self.neumann_sides is not None:
             classify_boundary(m, self.neumann_sides)
         return m
@@ -319,14 +318,10 @@ def bisect_refine(mesh, marked, max_elements=None):
     (recursively); the result is conforming.  Raises
     :class:`RefinementBudgetError` if closure would push the element count
     past ``max_elements``.
-
-    The returned mesh carries ``lineage``: for each new element, the id of
-    the element of ``mesh`` it descends from.
     """
     verts = [tuple(v) for v in mesh.vertices]
     elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
     slab = {i: int(mesh.slab_index[i]) for i in range(mesh.n_elements)}
-    origin = {i: i for i in range(mesh.n_elements)}
     side = dict(mesh.side_of_edge)
     next_id = mesh.n_elements
 
@@ -345,13 +340,12 @@ def bisect_refine(mesh, marked, max_elements=None):
             edge2elems[key].discard(i)
         del elems[i]
 
-    def _add(tri, sl, org):
+    def _add(tri, sl):
         nonlocal next_id
         i = next_id
         next_id += 1
         elems[i] = tri
         slab[i] = sl
-        origin[i] = org
         for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
             key = (a, b) if a < b else (b, a)
             edge2elems.setdefault(key, set()).add(i)
@@ -375,10 +369,10 @@ def bisect_refine(mesh, marked, max_elements=None):
         p, b1, b2 = elems[i]
         key = (b1, b2) if b1 < b2 else (b2, b1)
         m = _midpoint(key)
-        sl, org = slab[i], origin[i]
+        sl = slab[i]
         _drop(i)
-        _add((m, p, b1), sl, org)
-        _add((m, b2, p), sl, org)
+        _add((m, p, b1), sl)
+        _add((m, b2, p), sl)
 
     def _refine(i):
         # iterative closure: refine incompatible neighbors across the
@@ -419,10 +413,8 @@ def bisect_refine(mesh, marked, max_elements=None):
     ids = sorted(elems)
     new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
     new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
-    lineage = np.asarray([origin[i] for i in ids], dtype=np.int64)
     out = SpaceTimeMesh(np.asarray(verts), new_elems, new_slab, side,
-                        mesh.mode, mesh.box, n_slabs=mesh.n_slabs,
-                        lineage=lineage)
+                        mesh.mode, mesh.box, n_slabs=mesh.n_slabs)
     if mesh.neumann_sides is not None:
         classify_boundary(out, mesh.neumann_sides)
     return out

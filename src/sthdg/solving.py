@@ -133,7 +133,6 @@ def solve_condensed(cs, params=None, callback=None):
 class SlabSolution:
     mesh: object
     slabs: list  # (slab_mesh, CondensedSolve)
-    mode: str
     timings: dict  # stage name -> wall seconds, summed over the march
 
     @property
@@ -174,7 +173,7 @@ def _condensed(mesh, p, prob, timings):
         return condense(blocks)
 
 
-def solve_problem(mesh, p, prob, params=None, callback=None):
+def solve_problem(mesh, p, prob, params=None):
     """Solve on ``mesh`` according to its mode.
 
     all_at_once: one global condensed solve; returns a CondensedSolve.
@@ -187,7 +186,7 @@ def solve_problem(mesh, p, prob, params=None, callback=None):
     if mesh.mode != "slab":
         timings = {}
         cs = _condensed(mesh, p, prob, timings)
-        sol = solve_condensed(cs, params, callback=callback)
+        sol = solve_condensed(cs, params)
         timings.update(sol.timings)
         sol.timings = timings
         return sol
@@ -203,6 +202,5 @@ def solve_problem(mesh, p, prob, params=None, callback=None):
         timings.update(sol.timings)
         slabs.append((sub, sol))
         with timed(timings, "hdg.trace"):
-            transfer = line_trace_evaluator(sub, p, sol.U, side="tmax")
-    return SlabSolution(mesh=mesh, slabs=slabs, mode="slab",
-                        timings=dict(timings))
+            transfer = line_trace_evaluator(sub, p, sol.U)
+    return SlabSolution(mesh=mesh, slabs=slabs, timings=dict(timings))

@@ -4,8 +4,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sthdg.air import (AirParams, AirSetupError, C_POINT, CFSplitting,
-                       F_POINT, RelaxationPlan, build_hierarchy,
+from sthdg.air import (MAX_COARSE, AirParams, AirSetupError, C_POINT,
+                       CFSplitting, F_POINT, RelaxationPlan, build_hierarchy,
                        galerkin_coarse, ideal_restriction_dense,
                        lair_restriction, one_point_interpolation,
                        rs_coarsen, strength_graph, topological_block_order,
@@ -170,6 +170,44 @@ def test_topological_order_recovers_permuted_triangular():
     assert np.abs(np.triu(B, 1)).max() == 0.0
 
 
+def _reaches(edges, nb):
+    """Reflexive transitive closure of a block graph, ``R[j, i]`` when a
+    path runs from block j to block i."""
+    R = np.eye(nb, dtype=bool) | edges
+    for k in range(nb):
+        R |= R[:, k:k + 1] & R[k:k + 1, :]
+    return R
+
+
+@settings(max_examples=60, deadline=None)
+@given(nb=st.integers(1, 8), b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_topological_order_on_permuted_block_triangular(nb, b, seed):
+    rng = np.random.default_rng(seed)
+    # edges[j, i]: block i depends on block j, only for j < i before the
+    # blocks are permuted
+    edges = np.tril(rng.random((nb, nb)) < 0.4, -1).T
+    perm = rng.permutation(nb)
+    edges = edges[np.ix_(perm, perm)]
+    mask = np.kron(edges.T | np.eye(nb, dtype=bool), np.ones((b, b), bool))
+    A = sp.csr_matrix(np.where(mask, rng.uniform(0.5, 1.5, mask.shape), 0.0))
+    order = topological_block_order(A, block_size=b)
+    assert order.complete and len(order.cycle_blocks) == 0
+    assert sorted(order.order.tolist()) == list(range(nb))
+    idx = (order.order[:, None] * b + np.arange(b)).ravel()
+    B = A.toarray()[np.ix_(idx, idx)]
+    assert not np.any(B * np.kron(np.triu(np.ones((nb, nb)), 1), np.ones((b, b))))
+    # one back edge i -> j closes every path j -> ... -> i into a cycle
+    R = _reaches(edges, nb)
+    pairs = np.argwhere(R & ~np.eye(nb, dtype=bool))
+    if len(pairs):
+        j, i = pairs[rng.integers(len(pairs))]
+        A = A.tolil()
+        A[j * b, i * b] = 1.0
+        order = topological_block_order(A.tocsr(), block_size=b)
+        assert not order.complete
+        assert order.cycle_blocks.tolist() == np.nonzero(R[j] & R[:, i])[0].tolist()
+
+
 def test_topological_order_reports_cycles():
     A = sp.csr_matrix(np.array([[1.0, 0.5, 0.0],
                                 [0.5, 1.0, 0.0],
@@ -257,7 +295,7 @@ def test_hierarchy_on_chain_is_exact_for_triangular():
     A = upwind_chain(n)
     h = build_hierarchy(A, AirParams())
     assert h.n_levels > 3
-    assert h.levels[-1].A.shape[0] <= 4 * AirParams().max_coarse
+    assert h.levels[-1].A.shape[0] <= 4 * MAX_COARSE
     assert 1.0 < h.grid_complexity < 3.0
     assert 1.0 < h.operator_complexity < 4.0
     rng = np.random.default_rng(14)
@@ -268,13 +306,15 @@ def test_hierarchy_on_chain_is_exact_for_triangular():
 
 def test_hierarchy_stagnation_raises_when_too_big_for_dense():
     A = sp.identity(500, format="csr")  # nothing to coarsen, too big for LU
+    assert 500 > 4 * MAX_COARSE
     with pytest.raises(AirSetupError):
-        build_hierarchy(A, AirParams(max_coarse=40))
+        build_hierarchy(A, AirParams())
 
 
 def test_hierarchy_small_stagnation_falls_back_to_dense():
     A = sp.identity(100, format="csr")
-    h = build_hierarchy(A, AirParams(max_coarse=40))
+    assert MAX_COARSE < 100 <= 4 * MAX_COARSE
+    h = build_hierarchy(A, AirParams())
     assert h.n_levels == 1
     b = np.arange(100, dtype=float)
     assert np.allclose(vcycle(h, b), b)

@@ -25,12 +25,17 @@ def cfg(**kw):
     return ExperimentConfig(**base)
 
 
-def test_defaults_text_parses_back():
+def test_defaults_text_parses_back(tmp_path):
     import configparser
     cp = configparser.ConfigParser()
     cp.read_string(defaults_text())
     assert cp["experiment"]["case"] == "pulse1d"
     assert cp["solver"]["tol"] == "1e-12"
+    assert ExperimentConfig.from_ini() == ExperimentConfig()
+    assert ExperimentConfig().solver_params() == SolverParams()
+    ini = tmp_path / "defaults.ini"
+    ini.write_text(defaults_text())
+    assert ExperimentConfig.from_ini(ini) == ExperimentConfig()
 
 
 def test_config_validation_errors():
@@ -45,7 +50,9 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         cfg(mode="sideways")
     for key, bad in (("ladder", ((0, 4),)), ("ladder", ((8, 8), (4, -1))),
-                     ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6))):
+                     ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6)),
+                     ("theta_c", 2.0), ("theta_r", -1.0),
+                     ("tol", float("nan"))):
         with pytest.raises(ConfigError, match=key):
             cfg(**{key: bad})
 
@@ -71,11 +78,17 @@ def test_config_bool_overrides_parse_words():
         ExperimentConfig.from_ini(overrides={"scale_blocks": "maybe"})
 
 
-def test_config_bad_number_overrides_raise_config_error():
+def test_config_bad_number_overrides_raise_config_error(tmp_path):
+    ini = tmp_path / "bad.ini"
     for key, word in (("p", "abc"), ("p", "2.5"), ("tol", "tiny"),
-                      ("nus", "1e-3,x"), ("ladder", "4xq")):
+                      ("nus", "1e-3,x"), ("ladder", "4xq"),
+                      ("scale_blocks", "maybe")):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_ini(overrides={key: word})
+        section = "solver" if key in ("tol", "scale_blocks") else "experiment"
+        ini.write_text(f"[{section}]\n{key} = {word}\n")
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_ini(ini)
     c = ExperimentConfig.from_ini(overrides={"p": "3", "tol": "1e-9"})
     assert c.p == 3 and c.tol == 1e-9
 
@@ -88,10 +101,6 @@ def test_config_rejects_unknown_keys(tmp_path):
     ini.write_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_ini(ini)
-
-
-def test_mode_alias_all():
-    assert cfg(mode="all").mode == "all_at_once"
 
 
 def test_converge_csv_shape_and_determinism(tmp_path):
@@ -239,6 +248,15 @@ def test_cli_unknown_relaxation_exit_2(tmp_path, capsys):
     code = main(["converge", "--config", str(bad), "--out", str(tmp_path)])
     assert code == 2
     assert "relaxation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["theta_c = 2", "theta_r = -1"])
+def test_cli_strength_threshold_out_of_range_exit_2(tmp_path, capsys, line):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[solver]\n{line}\n")
+    code = main(["converge", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 2
+    assert line.split()[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["ladder = 0x4", "n0 = 0"])

@@ -388,11 +388,22 @@ def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
 def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
     h = pulse_system(nu)[2]
     for lev in h.levels:
-        g = strength_graph(lev.A, h.params.theta_c)
+        g = strength_graph(lev.A, AirParams().theta_c)
         cf = rs_coarsen(g)
         assert_cf_bitwise(cf, _rs_coarsen_loop(g))
         if lev.cf is not None:
             assert_cf_bitwise(lev.cf, cf)
+
+
+@pytest.mark.parametrize("nu", [1e-6, 1e-1])
+def test_every_pulse_level_has_c_identity_in_r_and_one_point_p(nu):
+    h = pulse_system(nu)[2]
+    assert h.n_levels > 2
+    for lev in h.levels[:-1]:
+        c = lev.cf.c_points
+        assert abs(lev.R[:, c] - sp.identity(len(c))).max() == 0.0
+        assert np.all(np.diff(lev.P.indptr) <= 1)
+        assert np.all(lev.P.data == 1.0)
 
 
 @pytest.mark.parametrize("name,g", SHAPED, ids=[c[0] for c in SHAPED])

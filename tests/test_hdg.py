@@ -75,7 +75,7 @@ def test_st_l2_error_of_known_gap():
 def test_line_trace_evaluator_on_final_surface():
     case, mesh, _ = small_system(2, nx=5, nt=4)
     U = project(mesh, 2, case.prob.exact)
-    ev = line_trace_evaluator(mesh, 2, U, side="tmax")
+    ev = line_trace_evaluator(mesh, 2, U)
     xs = np.linspace(-0.45, 0.45, 11)
     pts = np.column_stack([np.ones_like(xs), xs])
     assert np.allclose(ev(pts), case.prob.exact(pts), atol=1e-11)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from sthdg.sparsela import (DenseLU, SingularBlockError,
                             block_diag_inverse_scale, read_matrix_market,
@@ -77,3 +78,38 @@ def test_matrix_market_roundtrip_vector(tmp_path):
     back = read_matrix_market(path)
     assert back.ndim == 1
     assert np.array_equal(back, v)  # %.17g round-trips doubles exactly
+
+
+_values = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _values),
+                        max_size=20))
+@example(shape=(3, 4), entries=[])  # nnz = 0
+@example(shape=(3, 3), entries=[(0, 0, -0.0), (2, 1, 5e-324)])  # empty row 1
+def test_matrix_market_roundtrip_is_exact(tmp_path_factory, shape, entries):
+    path = tmp_path_factory.mktemp("mm") / "a.mtx"
+    # later duplicates replace earlier ones, so no value is a rounded sum
+    cells = {(i, j): v for i, j, v in entries if i < shape[0] and j < shape[1]}
+    ij = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+    vals = np.array(list(cells.values()), dtype=float)
+    A = validate_csr(sp.coo_matrix((vals, (ij[:, 0], ij[:, 1])), shape=shape))
+    write_matrix_market(path, A)
+    back = read_matrix_market(path)
+    assert back.shape == A.shape
+    assert np.array_equal(back.indptr, A.indptr)
+    assert np.array_equal(back.indices, A.indices)
+    assert back.data.tobytes() == A.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.lists(_values, min_size=1, max_size=12))
+@example(v=[-0.0, 0.0, 5e-324])
+def test_matrix_market_vector_roundtrip_is_exact(tmp_path_factory, v):
+    path = tmp_path_factory.mktemp("mm") / "v.mtx"
+    v = np.array(v)
+    write_matrix_market(path, v)
+    back = read_matrix_market(path)
+    assert back.shape == v.shape and back.tobytes() == v.tobytes()
