@@ -70,7 +70,6 @@ class StrengthGraph:
     """
 
     csr: sp.csr_matrix
-    theta: float
 
     @property
     def n(self):
@@ -110,7 +109,7 @@ def strength_graph(A, theta):
     np.maximum.at(rowmax, rows, dat)
     keep = dat >= theta * rowmax[rows] - 1e-300
     G = sp.csr_matrix((dat[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return StrengthGraph(csr=G, theta=float(theta))
+    return StrengthGraph(csr=G)
 
 
 def rs_coarsen(g: StrengthGraph) -> CFSplitting:

@@ -71,7 +71,7 @@ def zz_estimate(mesh, U, p):
     return ErrorIndicatorField(np.sqrt(np.maximum(eta2, 0.0)))
 
 
-def mark_fixed_fraction(field, fraction=0.1):
+def mark_fixed_fraction(field, fraction):
     """Ids of the ceil(fraction * n) largest indicators, ties by lowest id."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -96,7 +96,7 @@ class AmrRecord:
     mesh: object = None
 
 
-def amr_loop(case, p, cycles, params=None, n0=8, fraction=0.1,
+def amr_loop(case, p, cycles, params=None, *, n0, fraction,
              keep_meshes=False):
     """Run solve -> estimate -> mark -> refine for `cycles` rounds.
 

@@ -6,6 +6,13 @@ build the AIR hierarchy on the scaled operator, and run preconditioned
 BiCGSTAB.  Slab mode extracts one time slab at a time and hands each
 slab's top trace to the next slab as inflow-like Neumann data.
 
+A solve has two steps.  :func:`prepare_operator` scales ``S`` and builds
+the hierarchy; :func:`solve_condensed` scales one ``H`` with the kept
+block inverses, iterates and reconstructs.  A slab march prepares again
+only when a slab's ``S`` differs from the last prepared one in shape,
+block size or any entry of its CSR arrays, so a march on a domain that
+does not change in time sets up once.
+
 This module is also the one stage clock: every solve returns a
 ``timings`` dict of wall seconds per stage, named after the call it
 times (``hdg.assemble``, ``air.setup``, ...), filled by :func:`timed`
@@ -28,9 +35,9 @@ from .krylov import bicgstab
 from .mesh import extract_slab
 from .sparsela import block_diag_inverse_scale
 
-__all__ = ["SolverParams", "SolverFailure", "CondensedSolve", "SlabSolution",
-           "accepted", "scaled_system", "solve_condensed", "solve_problem",
-           "timed"]
+__all__ = ["SolverParams", "SolverFailure", "PreparedOperator",
+           "CondensedSolve", "SlabSolution", "accepted", "scaled_system",
+           "prepare_operator", "solve_condensed", "solve_problem", "timed"]
 
 
 @contextmanager
@@ -69,6 +76,38 @@ class SolverParams:
 
 
 @dataclass
+class PreparedOperator:
+    """One condensed operator made ready to solve with, for any ``H``.
+
+    ``S`` is the condensed matrix it was built from, ``scaling`` its left
+    block scaling (None without one) and ``hierarchy`` the AIR hierarchy
+    on :attr:`matrix`.
+    """
+
+    S: object
+    block_size: int
+    scaling: object  # BlockDiagonalScaling or None
+    hierarchy: object
+
+    @property
+    def matrix(self):
+        """The operator the iteration sees."""
+        return self.S if self.scaling is None else self.scaling.matrix
+
+    def scale(self, H):
+        """The right-hand side the iteration sees."""
+        return H if self.scaling is None else self.scaling.apply(H)
+
+    def serves(self, cs):
+        """Whether ``cs`` has exactly this operator: equal CSR arrays."""
+        S, T = cs.S, self.S
+        return (cs.facet_block_size == self.block_size and S.shape == T.shape
+                and np.array_equal(S.indptr, T.indptr)
+                and np.array_equal(S.indices, T.indices)
+                and np.array_equal(S.data, T.data))
+
+
+@dataclass
 class CondensedSolve:
     lam: np.ndarray
     U: np.ndarray
@@ -81,37 +120,57 @@ class CondensedSolve:
         return self.report.iterations
 
 
+def _scaling(cs, scale_blocks):
+    """The left block scaling of ``cs.S``, or None without one."""
+    if scale_blocks:
+        return block_diag_inverse_scale(cs.S, cs.facet_block_size)
+    return None
+
+
 def scaled_system(cs, scale_blocks=True):
     """The facet system ``(S, H)`` the iteration sees.
 
     With ``scale_blocks`` both are scaled on the left by the inverse facet
     diagonal blocks; otherwise they are returned as condensed.
     """
-    if not scale_blocks:
+    scaling = _scaling(cs, scale_blocks)
+    if scaling is None:
         return cs.S, cs.H
-    scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
     return scaling.matrix, scaling.apply(cs.H)
 
 
-def solve_condensed(cs, params=None, callback=None):
-    """Solve one condensed facet system and reconstruct element unknowns.
-
-    ``callback(lam_k, k)`` is forwarded to BiCGSTAB (full steps); the
-    left scaling does not change the iterates' meaning, so callbacks see
-    genuine facet coefficients.  With ``raise_on_failure`` a solve raises
-    :class:`SolverFailure` unless it is :func:`accepted`.
-    """
-    params = params or SolverParams()
-    timings = {}
+def prepare_operator(cs, params, timings):
+    """Block-scale ``cs.S`` and build the AIR hierarchy on the result."""
     with timed(timings, "sparsela.block_scaling"):
-        Ss, Hs = scaled_system(cs, params.scale_blocks)
+        scaling = _scaling(cs, params.scale_blocks)
     air = params.air
     if air.block_size != cs.facet_block_size:
         air = replace(air, block_size=cs.facet_block_size)
     with timed(timings, "air.setup"):
-        hierarchy = build_hierarchy(Ss, air)
+        hierarchy = build_hierarchy(
+            cs.S if scaling is None else scaling.matrix, air)
+    return PreparedOperator(cs.S, cs.facet_block_size, scaling, hierarchy)
+
+
+def solve_condensed(cs, params=None, callback=None, operator=None):
+    """Solve one condensed facet system and reconstruct element unknowns.
+
+    ``operator`` is the :class:`PreparedOperator` that
+    :func:`prepare_operator` made of ``cs.S`` under the same ``params``;
+    without one it is prepared here.  ``callback(lam_k, k)`` is forwarded
+    to BiCGSTAB (full steps); the left scaling does not change the
+    iterates' meaning, so callbacks see genuine facet coefficients.  With
+    ``raise_on_failure`` a solve raises :class:`SolverFailure` unless it
+    is :func:`accepted`.  The right-hand side is scaled inside the
+    ``krylov.bicgstab`` stage.
+    """
+    params = params or SolverParams()
+    timings = {}
+    if operator is None:
+        operator = prepare_operator(cs, params, timings)
     with timed(timings, "krylov.bicgstab"):
-        lam, report = bicgstab(Ss, Hs, hierarchy.as_preconditioner(),
+        lam, report = bicgstab(operator.matrix, operator.scale(cs.H),
+                               operator.hierarchy.as_preconditioner(),
                                tol=params.tol, maxiter=params.maxiter,
                                callback=callback)
     if params.raise_on_failure and not accepted(report, params.tol):
@@ -125,8 +184,8 @@ def solve_condensed(cs, params=None, callback=None):
             f"after {report.iterations} iterations")
     with timed(timings, "hdg.reconstruct"):
         U = reconstruct(cs, lam)
-    return CondensedSolve(lam=lam, U=U, report=report, hierarchy=hierarchy,
-                          timings=timings)
+    return CondensedSolve(lam=lam, U=U, report=report,
+                          hierarchy=operator.hierarchy, timings=timings)
 
 
 @dataclass
@@ -178,9 +237,13 @@ def solve_problem(mesh, p, prob, params=None):
 
     all_at_once: one global condensed solve; returns a CondensedSolve.
     slab: sequential per-slab solves with trace transfer; returns a
-    SlabSolution whose per-slab systems reuse the same solver settings.
-    Either result's ``timings`` books every stage of the call, summed
-    over all slabs in slab mode.
+    SlabSolution.  A slab whose condensed ``S`` equals, entry for entry,
+    the one the last :class:`PreparedOperator` came from is solved with
+    that operator; otherwise a new one is prepared.  ``params`` are fixed
+    for the call, so they need no part in that comparison.  Either
+    result's ``timings`` books every stage of the call, summed over all
+    slabs in slab mode (block scaling and AIR setup once per prepared
+    operator).
     """
     params = params or SolverParams()
     if mesh.mode != "slab":
@@ -193,12 +256,15 @@ def solve_problem(mesh, p, prob, params=None):
     timings = Counter()
     slabs = []
     transfer = None
+    operator = None
     for n in range(mesh.n_slabs):
         with timed(timings, "mesh.extract_slab"):
             sub, _, _ = extract_slab(mesh, n)
         sprob = replace(prob, neumann=_slab_neumann(prob.neumann, transfer))
         cs = _condensed(sub, p, sprob, timings)
-        sol = solve_condensed(cs, params)
+        if operator is None or not operator.serves(cs):
+            operator = prepare_operator(cs, params, timings)
+        sol = solve_condensed(cs, params, operator=operator)
         timings.update(sol.timings)
         slabs.append((sub, sol))
         with timed(timings, "hdg.trace"):

@@ -85,7 +85,7 @@ def test_mark_fixed_fraction_rules():
 
 
 def test_amr_loop_zero_cycles_is_single_solve():
-    recs = amr_loop(make_layer1d(), 1, 0, n0=4)
+    recs = amr_loop(make_layer1d(), 1, 0, n0=4, fraction=0.1)
     assert len(recs) == 1
     assert isinstance(recs[0], AmrRecord)
     assert recs[0].cycle == 0 and recs[0].n_coupled > 0

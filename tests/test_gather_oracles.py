@@ -50,7 +50,7 @@ def strength_graph_loop(A, theta):
     mask = sp.csr_matrix((keep.astype(float), C.indices, C.indptr), shape=(n, n))
     G = validate_csr(abs(C).multiply(mask))
     G.eliminate_zeros()
-    return StrengthGraph(csr=G, theta=float(theta))
+    return StrengthGraph(csr=G)
 
 
 def lair_restriction_loop(A, cf, theta=0.3):
@@ -253,7 +253,7 @@ def graph(n, edges):
     rows = [i for i, _ in edges]
     cols = [j for _, j in edges]
     G = sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
-    return StrengthGraph(csr=validate_csr(G), theta=0.2)
+    return StrengthGraph(csr=validate_csr(G))
 
 
 @st.composite
