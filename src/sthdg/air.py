@@ -13,6 +13,11 @@ Galerkin triple products with independently built R and P.  The cycle is
 V(0,1): restrict the residual, correct, then one post-relaxation sweep
 (forward Gauss-Seidel on F-points followed by all points, by default).
 
+Strength of connection is decided once per level: one pass over the
+level's matrix yields the graph for the coarsening threshold theta_c and
+the one for the restriction threshold theta_r, and each setup step takes
+the graph it reads.
+
 Also provides the block topological ordering used to expose the lower
 block-triangular structure of purely advective facet systems, and the
 relaxation schemes (Jacobi, forward GS, F-then-all GS, ordered block GS).
@@ -38,7 +43,6 @@ __all__ = [
     "AirParams",
     "AirSetupError",
     "CFSplitting",
-    "StrengthGraph",
     "TopologicalOrder",
     "strength_graph",
     "rs_coarsen",
@@ -58,22 +62,6 @@ C_POINT = 1
 
 class AirSetupError(RuntimeError):
     """Setup cannot continue (e.g. coarsening stagnated on a large level)."""
-
-
-@dataclass
-class StrengthGraph:
-    """Directed strength-of-connection graph in CSR form.
-
-    Edge i -> j means "i strongly depends on j":
-    |a_ij| >= theta * max_{k != i} |a_ik|.  ``csr`` stores |a_ij| for the
-    retained edges (no diagonal).
-    """
-
-    csr: sp.csr_matrix
-
-    @property
-    def n(self):
-        return self.csr.shape[0]
 
 
 @dataclass
@@ -98,8 +86,14 @@ class CFSplitting:
         return np.nonzero(self.labels == F_POINT)[0]
 
 
-def strength_graph(A, theta):
-    """Magnitude-based strength of connection (nonsymmetric-safe)."""
+def strength_graph(A, *thetas):
+    """Magnitude-based strength of connection (nonsymmetric-safe).
+
+    Returns one directed graph per threshold in ``thetas``, each a CSR
+    matrix holding |a_ij| for the retained edges i -> j ("i strongly
+    depends on j": |a_ij| >= theta * max_{k != i} |a_ik|), with no
+    diagonal.  The row maxima are computed once for all thresholds.
+    """
     A = validate_csr(A)
     n = A.shape[0]
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
@@ -107,13 +101,17 @@ def strength_graph(A, theta):
     rows, cols, dat = rows[off], A.indices[off], np.abs(A.data[off])
     rowmax = np.zeros(n)
     np.maximum.at(rowmax, rows, dat)
-    keep = dat >= theta * rowmax[rows] - 1e-300
-    G = sp.csr_matrix((dat[keep], (rows[keep], cols[keep])), shape=(n, n))
-    return StrengthGraph(csr=G)
+    rowmax = rowmax[rows]
+    graphs = []
+    for theta in thetas:
+        keep = dat >= theta * rowmax - 1e-300
+        graphs.append(sp.csr_matrix((dat[keep], (rows[keep], cols[keep])),
+                                    shape=(n, n)))
+    return graphs
 
 
-def rs_coarsen(g: StrengthGraph) -> CFSplitting:
-    """Classical Ruge-Stuben CF splitting on a strength graph.
+def rs_coarsen(S) -> CFSplitting:
+    """Classical Ruge-Stuben CF splitting on a CSR strength graph ``S``.
 
     The measure of a point is the number of points that strongly depend
     on it.  The splitting repeatedly makes C the undecided point with the
@@ -135,8 +133,7 @@ def rs_coarsen(g: StrengthGraph) -> CFSplitting:
     Measures only grow, so a point's newest entry pops before its older
     ones, and an entry popped while its point is undecided is current.
     """
-    S = g.csr
-    n = g.n
+    n = S.shape[0]
     ST = S.tocsc()
     n_infl = np.diff(ST.indptr)  # how many depend on me
     isolated = (np.diff(S.indptr) == 0) & (n_infl == 0)
@@ -169,17 +166,17 @@ def rs_coarsen(g: StrengthGraph) -> CFSplitting:
     return CFSplitting(labels=labels, coarse_index=coarse_index)
 
 
-def lair_restriction(A, cf, theta=0.3):
+def lair_restriction(A, cf, gR):
     """Distance-one local AIR restriction (nc x n).
 
     Each C-point row solves a small transposed neighborhood system so
-    that (R A) vanishes on the strong F-neighborhood of the C-point.  The
+    that (R A) vanishes on the strong F-neighborhood of the C-point, its
+    F-neighbors in the restriction strength graph ``gR``.  ``A`` must be
+    canonical CSR (see :func:`~sthdg.sparsela.validate_csr`).  The
     systems of all C-points with one neighborhood size are solved stacked;
     only if that raises (a member is exactly singular) is each solved
     alone, singular ones by least squares (``fallbacks`` on the result).
     """
-    A = validate_csr(A)
-    gR = strength_graph(A, theta).csr
     cpts = cf.c_points
     nc = len(cpts)
     # strong F-neighbors of every C-point, concatenated row by row
@@ -215,12 +212,11 @@ def lair_restriction(A, cf, theta=0.3):
     return R
 
 
-def one_point_interpolation(A, cf, g: StrengthGraph):
-    """Each F-point interpolates from its strongest C-neighbor (n x nc)."""
-    A = validate_csr(A)
-    n = A.shape[0]
+def one_point_interpolation(cf, S):
+    """Each F-point interpolates from its strongest C-neighbor in the
+    strength graph ``S`` (n x nc)."""
+    n = S.shape[0]
     labels = cf.labels
-    S = g.csr
     si, sd = S.indices, np.abs(S.data)
     rows = np.repeat(np.arange(n), np.diff(S.indptr))
     # per-entry weight; non-C neighbors can never win
@@ -435,7 +431,6 @@ class AirParams:
     theta_c: float = 0.2  # coarsening strength tolerance
     theta_r: float = 0.3  # restriction neighborhood tolerance
     relaxation: str = "f_then_all_fgs"
-    block_size: int = 1  # relaxation block size on the finest level
 
 
 @dataclass
@@ -470,9 +465,10 @@ class AirHierarchy:
         return lambda r: vcycle(self, r)
 
 
-def build_hierarchy(A, params=None):
+def build_hierarchy(A, params=None, block_size=1):
     """Set up the AIR hierarchy for ``A``.
 
+    ``block_size`` is the relaxation block size on the finest level.
     Coarsening stops at ``MAX_COARSE`` rows (dense LU there).  If the CF
     splitting stagnates (all C or all F), the level is sent to the dense
     solver when small enough, otherwise setup fails with
@@ -483,7 +479,7 @@ def build_hierarchy(A, params=None):
     levels = []
     fallbacks = 0
     while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
-        g = strength_graph(A, params.theta_c)
+        g, gR = strength_graph(A, params.theta_c, params.theta_r)
         cf = rs_coarsen(g)
         nc = cf.n_coarse
         if nc == A.shape[0] or nc == 0:
@@ -491,10 +487,10 @@ def build_hierarchy(A, params=None):
                 break  # close enough: hand to the dense coarse solver
             raise AirSetupError(
                 f"coarsening stagnated at n={A.shape[0]} (n_coarse={nc})")
-        R = lair_restriction(A, cf, params.theta_r)
+        R = lair_restriction(A, cf, gR)
         fallbacks += R.fallbacks
-        P = one_point_interpolation(A, cf, g)
-        bsize = params.block_size if not levels else 1
+        P = one_point_interpolation(cf, g)
+        bsize = block_size if not levels else 1
         plan = RelaxationPlan(A, params.relaxation, cf=cf, block_size=bsize)
         levels.append(AirLevel(A=A, R=R, P=P, cf=cf, plan=plan))
         A = galerkin_coarse(R, A, P)

@@ -185,5 +185,5 @@ def case_by_name(name, p=1, nu=1e-6, deformed=False):
     if name == "layer1d":
         return make_layer1d()
     if name == "polyexact":
-        return make_polyexact(p, deformed=deformed)
+        return make_polyexact(p, nu, deformed=deformed)
     raise KeyError(f"unknown case {name!r}")

@@ -299,7 +299,7 @@ def run_converge(cfg):
         for nx, nt in cfg.ladder:
             res = _solve_entry(cfg, case, nx, nt, cfg.solver_params(), stages)
             rate = "-" if prev is None else np.log2(prev / res["error"])
-            rows.append([cfg.case, cfg.mode, cfg.p, nu, nx, nt,
+            rows.append([cfg.case, cfg.mode, cfg.p, case.prob.nu, nx, nt,
                          res["elements"], res["dofs"], res["error"], rate])
             prev = res["error"]
     path = _write_csv(out / "converge.csv",
@@ -480,7 +480,7 @@ def run_export(cfg):
     with open(bpath, "w", newline="\n") as fh:
         fh.write(f"{cs.facet_block_size}\n")
     paths.append(bpath)
-    cf = rs_coarsen(strength_graph(Ss, cfg.theta_c))
+    cf = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
     pos = lambda_dof_positions(cs)
     rows = [[i, pos[i, 0], pos[i, 1], "C" if cf.labels[i] else "F"]
             for i in range(Ss.shape[0])]

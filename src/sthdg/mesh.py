@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "SpaceTimeMesh",
     "DeformationMap",
-    "RefinementBudgetError",
     "build_st_mesh",
     "deform_mesh",
     "classify_boundary",
@@ -57,10 +56,6 @@ TAG_FINAL = 3  # outflow top surface; Neumann-type with vanishing data
 
 # local edge l is opposite local vertex l
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
-
-
-class RefinementBudgetError(RuntimeError):
-    """Raised when conformity closure would exceed the element budget."""
 
 
 class SpaceTimeMesh:
@@ -311,13 +306,11 @@ def classify_boundary(mesh, neumann_sides=()):
     return mesh
 
 
-def bisect_refine(mesh, marked, max_elements=None):
+def bisect_refine(mesh, marked):
     """Newest-vertex bisection of ``marked`` elements with conformity closure.
 
     Neighbors whose refinement edge disagrees are refined first
-    (recursively); the result is conforming.  Raises
-    :class:`RefinementBudgetError` if closure would push the element count
-    past ``max_elements``.
+    (recursively); the result is conforming.
     """
     verts = [tuple(v) for v in mesh.vertices]
     elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
@@ -397,9 +390,6 @@ def bisect_refine(mesh, marked, max_elements=None):
                 stack.append(incompatible)
                 continue
             stack.pop()
-            if max_elements is not None and len(elems) + (2 if nbrs else 1) > max_elements:
-                raise RefinementBudgetError(
-                    f"refinement needs more than {max_elements} elements")
             _bisect(k)
             for j in nbrs:
                 _bisect(j)

@@ -143,12 +143,10 @@ def prepare_operator(cs, params, timings):
     """Block-scale ``cs.S`` and build the AIR hierarchy on the result."""
     with timed(timings, "sparsela.block_scaling"):
         scaling = _scaling(cs, params.scale_blocks)
-    air = params.air
-    if air.block_size != cs.facet_block_size:
-        air = replace(air, block_size=cs.facet_block_size)
     with timed(timings, "air.setup"):
         hierarchy = build_hierarchy(
-            cs.S if scaling is None else scaling.matrix, air)
+            cs.S if scaling is None else scaling.matrix, params.air,
+            cs.facet_block_size)
     return PreparedOperator(cs.S, cs.facet_block_size, scaling, hierarchy)
 
 

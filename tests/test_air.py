@@ -32,8 +32,7 @@ def test_strength_graph_thresholds_by_row_maximum():
     A = sp.csr_matrix(np.array([[2.0, -1.0, 0.1],
                                 [0.0, 1.0, 0.0],
                                 [-0.5, 0.01, 3.0]]))
-    g = strength_graph(A, theta=0.25)
-    S = g.csr.toarray()
+    S = strength_graph(A, 0.25)[0].toarray()
     assert S[0, 1] != 0 and S[0, 2] == 0  # 0.1 < 0.25 * 1.0
     assert S[1].sum() == 0                # no off-diagonal entries at all
     assert S[2, 0] != 0 and S[2, 1] == 0
@@ -41,11 +40,11 @@ def test_strength_graph_thresholds_by_row_maximum():
 
 def test_rs_coarsen_covers_every_point():
     A = upwind_chain(20)
-    cf = rs_coarsen(strength_graph(A, 0.2))
+    cf = rs_coarsen(strength_graph(A, 0.2)[0])
     assert set(np.unique(cf.labels)) <= {C_POINT, F_POINT}
     assert cf.n_coarse + len(cf.f_points) == 20
     # every F-point with strong dependencies sees at least one C-point
-    S = strength_graph(A, 0.2).csr
+    S = strength_graph(A, 0.2)[0]
     for i in cf.f_points:
         deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
         if len(deps):
@@ -55,7 +54,7 @@ def test_rs_coarsen_covers_every_point():
 def test_rs_coarsen_isolated_points_become_f():
     # diagonal matrix: relaxation alone solves it, nothing to coarsen
     A = sp.identity(12, format="csr")
-    cf = rs_coarsen(strength_graph(A, 0.2))
+    cf = rs_coarsen(strength_graph(A, 0.2)[0])
     assert cf.n_coarse == 0
 
 
@@ -63,7 +62,7 @@ def test_lair_restriction_small_oracle():
     # C = {1}: w solves A_ff^T w = -a_cf^T, here 2 w = -(-1) => w = 0.5
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     cf = splitting([F_POINT, C_POINT])
-    R = lair_restriction(A, cf, theta=0.0)
+    R = lair_restriction(A, cf, strength_graph(A, 0.0)[0])
     assert np.allclose(R.toarray(), [[0.5, 1.0]])
     P = sp.csr_matrix(np.array([[0.0], [1.0]]))
     assert np.allclose(galerkin_coarse(R, A, P).toarray(), [[1.5]])
@@ -74,8 +73,9 @@ def test_lair_zeroes_strong_f_columns_of_ra():
     n = 30
     A = sp.csr_matrix(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
                       + 4 * np.eye(n))
-    cf = rs_coarsen(strength_graph(A, 0.2))
-    R = lair_restriction(A, cf, theta=0.0)  # theta=0: full F-neighborhoods
+    cf = rs_coarsen(strength_graph(A, 0.2)[0])
+    gR = strength_graph(A, 0.0)[0]  # theta=0: full F-neighborhoods
+    R = lair_restriction(A, cf, gR)
     RA = (R @ A).toarray()
     for r, i in enumerate(cf.c_points):
         nbrs = A.indices[A.indptr[i]:A.indptr[i + 1]]
@@ -96,7 +96,8 @@ def test_lair_singular_neighbourhood_falls_back_alone():
     A[7, nbrs[7]] = [-0.7, -1.0]
     A[8, nbrs[8]] = [0.6, -1.2]
     cf = splitting([F_POINT] * 6 + [C_POINT] * 3)
-    R = lair_restriction(sp.csr_matrix(A), cf, theta=0.0)
+    As = sp.csr_matrix(A)
+    R = lair_restriction(As, cf, strength_graph(As, 0.0)[0])
     assert R.fallbacks == 1
     Rd = R.toarray()
     RA = Rd @ A
@@ -119,7 +120,8 @@ def test_lair_with_full_neighbourhoods_is_ideal(is_c, seed):
     A = rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
     np.fill_diagonal(A, np.abs(A).sum(axis=1) + 1.0)
     labels = np.where(is_c, C_POINT, F_POINT).astype(np.int8)
-    R = lair_restriction(sp.csr_matrix(A), splitting(labels), theta=0.0)
+    As = sp.csr_matrix(A)
+    R = lair_restriction(As, splitting(labels), strength_graph(As, 0.0)[0])
     assert R.fallbacks == 0
     ideal = ideal_restriction_dense(A, labels)
     assert R.shape == ideal.shape
@@ -149,9 +151,9 @@ def test_one_point_interpolation_strongest_then_lowest_index():
                                 [3.0, 0.0, 0.0, 0.0],
                                 [3.0, 0.0, 0.0, 0.0],
                                 [1.0, 0.0, 0.0, 0.0]]))
-    g = strength_graph(S, 0.0)
+    g = strength_graph(S, 0.0)[0]
     cf = splitting([F_POINT, C_POINT, C_POINT, C_POINT])
-    P = one_point_interpolation(S, cf, g).toarray()
+    P = one_point_interpolation(cf, g).toarray()
     assert P[0, cf.coarse_index[1]] == 1.0 and P[0].sum() == 1.0
     for i in (1, 2, 3):
         assert P[i, cf.coarse_index[i]] == 1.0
@@ -235,7 +237,7 @@ def test_ordered_block_gs_exact_on_triangular_blocks():
 
 def test_f_then_all_sweep_reduces_residual():
     A = upwind_chain(40, eps=0.05)
-    cf = rs_coarsen(strength_graph(A, 0.2))
+    cf = rs_coarsen(strength_graph(A, 0.2)[0])
     rng = np.random.default_rng(13)
     b = rng.standard_normal(40)
     x = RelaxationPlan(A, "f_then_all_fgs", cf=cf).apply(b, np.zeros(40))
@@ -271,7 +273,7 @@ def test_relaxation_sweep_matches_dense_oracle(scheme, block_size):
     n = 36
     A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
     A += np.diag(rng.random(n) + 2.0)
-    cf = rs_coarsen(strength_graph(sp.csr_matrix(A), 0.2))
+    cf = rs_coarsen(strength_graph(sp.csr_matrix(A), 0.2)[0])
     b = rng.standard_normal(n)
     x = rng.standard_normal(n)
     plan = RelaxationPlan(sp.csr_matrix(A), scheme, cf=cf,

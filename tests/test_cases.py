@@ -114,6 +114,7 @@ def test_trace_neumann_outflow_side():
 
 def test_case_catalog_lookup():
     assert case_by_name("pulse1d", nu=1e-3).prob.nu == 1e-3
+    assert case_by_name("polyexact", p=1, nu=1e-3).prob.nu == 1e-3
     assert case_by_name("layer1d").prob.name == "layer1d"
     assert case_by_name("polyexact", p=2).prob.name == "polyexact2"
     with pytest.raises(KeyError):

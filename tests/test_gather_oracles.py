@@ -10,7 +10,10 @@ reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
 fallback count.  ``rs_coarsen`` keys its heap with plain ints; the
 numpy-scalar heap loop with ``(-measure, i)`` tuples, a stale-entry
 test and a second pass is kept as its oracle, and the labels and coarse
-indices must match it bitwise.
+indices must match it bitwise.  ``strength_graph`` builds the graphs of
+several thresholds in one pass; each must equal its single-threshold
+graph, and a hierarchy built from the oracles, one graph per call, must
+equal ``build_hierarchy``'s level by level.
 """
 
 import heapq
@@ -21,9 +24,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sthdg.air import (C_POINT, F_POINT, AirParams, CFSplitting,
-                       StrengthGraph, build_hierarchy, lair_restriction,
-                       one_point_interpolation, rs_coarsen, strength_graph)
+from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS, AirParams,
+                       CFSplitting, build_hierarchy, galerkin_coarse,
+                       lair_restriction, one_point_interpolation, rs_coarsen,
+                       strength_graph)
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import assemble_blocks, condense
 from sthdg.solving import scaled_system
@@ -50,12 +54,12 @@ def strength_graph_loop(A, theta):
     mask = sp.csr_matrix((keep.astype(float), C.indices, C.indptr), shape=(n, n))
     G = validate_csr(abs(C).multiply(mask))
     G.eliminate_zeros()
-    return StrengthGraph(csr=G)
+    return G
 
 
 def lair_restriction_loop(A, cf, theta=0.3):
     A = validate_csr(A)
-    gR = strength_graph_loop(A, theta).csr
+    gR = strength_graph_loop(A, theta)
     labels = cf.labels
     cpts = cf.c_points
     ap, ai, ad = A.indptr, A.indices, A.data
@@ -94,10 +98,9 @@ def lair_restriction_loop(A, cf, theta=0.3):
     return R
 
 
-def _rs_first_pass_loop(g):
+def _rs_first_pass_loop(S):
     """First pass of the replaced ``rs_coarsen``: the state per point."""
-    S = g.csr
-    n = g.n
+    n = S.shape[0]
     ST = S.tocsc()
     state = np.full(n, -1, dtype=np.int8)  # -1 undecided
     isolated = (np.diff(S.indptr) == 0) & (np.diff(ST.indptr) == 0)
@@ -123,10 +126,9 @@ def _rs_first_pass_loop(g):
     return state
 
 
-def _rs_coarsen_loop(g):
-    S = g.csr
-    n = g.n
-    state = _rs_first_pass_loop(g)
+def _rs_coarsen_loop(S):
+    n = S.shape[0]
+    state = _rs_first_pass_loop(S)
     # second pass: F-points must see at least one C-point
     for i in range(n):
         if state[i] != F_POINT:
@@ -141,11 +143,9 @@ def _rs_coarsen_loop(g):
     return CFSplitting(labels=labels, coarse_index=coarse_index)
 
 
-def one_point_interpolation_loop(A, cf, g):
-    A = validate_csr(A)
-    n = A.shape[0]
+def one_point_interpolation_loop(cf, S):
+    n = S.shape[0]
     labels = cf.labels
-    S = g.csr
     si, sd = S.indices, np.abs(S.data)
     counts = np.diff(S.indptr)
     nonempty = counts > 0
@@ -170,6 +170,25 @@ def one_point_interpolation_loop(A, cf, g):
     P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                       shape=(n, cf.n_coarse))
     return validate_csr(P)
+
+
+def hierarchy_loop(A, theta_c, theta_r):
+    """``build_hierarchy``'s levels ``(A, R, P, cf)`` from the oracles, with
+    each strength graph built on its own, and the lAIR fallback total."""
+    A = validate_csr(A)
+    levels, fallbacks = [], 0
+    while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
+        g = strength_graph_loop(A, theta_c)
+        cf = _rs_coarsen_loop(g)
+        if cf.n_coarse in (0, A.shape[0]):
+            break
+        R = lair_restriction_loop(A, cf, theta_r)
+        fallbacks += R.fallbacks
+        P = one_point_interpolation_loop(cf, g)
+        levels.append((A, R, P, cf))
+        A = galerkin_coarse(R, A, P)
+    levels.append((A, None, None, None))
+    return levels, fallbacks
 
 
 def diagonal_blocks_loop(A, b):
@@ -197,7 +216,7 @@ def pulse_system(nu):
     case = case_by_name("pulse1d", p=2, nu=nu)
     cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
     Ss, _ = scaled_system(cs)
-    h = build_hierarchy(Ss, AirParams(block_size=cs.facet_block_size))
+    h = build_hierarchy(Ss, AirParams(), cs.facet_block_size)
     return cs.S, cs.facet_block_size, h
 
 
@@ -253,7 +272,7 @@ def graph(n, edges):
     rows = [i for i, _ in edges]
     cols = [j for _, j in edges]
     G = sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
-    return StrengthGraph(csr=validate_csr(G))
+    return validate_csr(G)
 
 
 @st.composite
@@ -305,9 +324,8 @@ def assert_cf_bitwise(new, old):
         assert a.tobytes() == b.tobytes(), name
 
 
-def assert_f_points_see_c(g, labels):
+def assert_f_points_see_c(S, labels):
     """Every F-point with a strong dependency has a C-dependency."""
-    S = g.csr
     for i in np.nonzero(labels == F_POINT)[0]:
         deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
         assert len(deps) == 0 or np.any(labels[deps] == C_POINT), i
@@ -322,16 +340,16 @@ ALL = random_cases() + pulse_levels()
 @pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
 @pytest.mark.parametrize("theta", [0.0, 0.2, 0.3])
 def test_strength_graph_matches_loop(name, A, cf, theta):
-    assert_csr_bitwise(strength_graph(A, theta).csr,
-                       strength_graph_loop(A, theta).csr)
+    assert_csr_bitwise(strength_graph(A, theta)[0],
+                       strength_graph_loop(A, theta))
 
 
 @pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
 def test_lair_restriction_matches_loop(name, A, cf):
     if cf is None:  # coarsest level: build a splitting as setup would
-        cf = rs_coarsen(strength_graph(A, 0.2))
+        cf = rs_coarsen(strength_graph(A, 0.2)[0])
     for theta in (0.0, 0.3):
-        new = lair_restriction(A, cf, theta)
+        new = lair_restriction(A, cf, strength_graph(A, theta)[0])
         old = lair_restriction_loop(A, cf, theta)
         assert_csr_bitwise(new, old)
         assert new.fallbacks == old.fallbacks
@@ -339,11 +357,44 @@ def test_lair_restriction_matches_loop(name, A, cf):
 
 @pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
 def test_one_point_interpolation_matches_loop(name, A, cf):
-    g = strength_graph(A, 0.2)
+    g = strength_graph(A, 0.2)[0]
     if cf is None:
         cf = rs_coarsen(g)
-    assert_csr_bitwise(one_point_interpolation(A, cf, g),
-                       one_point_interpolation_loop(A, cf, g))
+    assert_csr_bitwise(one_point_interpolation(cf, g),
+                       one_point_interpolation_loop(cf, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       theta=st.floats(0.0, 1.0), order=st.sampled_from(["<", "=", ">"]))
+def test_strength_graph_per_threshold_matches_single_calls(seed, n, theta,
+                                                           order):
+    A = random_csr(seed, n, empty_rows=min(2, n))
+    other = {"<": theta / 2, "=": theta, ">": (1.0 + theta) / 2}[order]
+    pair = strength_graph(A, theta, other)
+    assert len(pair) == 2
+    for G, t in zip(pair, (theta, other)):
+        assert_csr_bitwise(G, strength_graph(A, t)[0])
+        assert_csr_bitwise(G, strength_graph_loop(A, t))
+
+
+@pytest.mark.parametrize("nu", [1e-6, 1e-1])
+@pytest.mark.parametrize("theta_c,theta_r", [(0.2, 0.3), (0.3, 0.2)])
+def test_hierarchy_matches_loop_oracles_on_pulse(nu, theta_c, theta_r):
+    S, b, h = pulse_system(nu)
+    Ss = h.levels[0].A
+    new = build_hierarchy(Ss, AirParams(theta_c=theta_c, theta_r=theta_r), b)
+    old, fallbacks = hierarchy_loop(Ss, theta_c, theta_r)
+    assert new.n_levels == len(old) > 2
+    assert new.lair_fallbacks == fallbacks
+    for lev, (A, R, P, cf) in zip(new.levels, old):
+        assert_csr_bitwise(lev.A, A)
+        if cf is None:
+            assert lev.cf is None
+            continue
+        assert_csr_bitwise(lev.R, R)
+        assert_csr_bitwise(lev.P, P)
+        assert_cf_bitwise(lev.cf, cf)
 
 
 def test_singular_neighbourhood_case_reaches_fallback():
@@ -388,7 +439,7 @@ def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
 def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
     h = pulse_system(nu)[2]
     for lev in h.levels:
-        g = strength_graph(lev.A, AirParams().theta_c)
+        g = strength_graph(lev.A, AirParams().theta_c)[0]
         cf = rs_coarsen(g)
         assert_cf_bitwise(cf, _rs_coarsen_loop(g))
         if lev.cf is not None:
@@ -419,7 +470,7 @@ def test_rs_coarsen_matches_loop_on_random_graphs(g):
     cf = rs_coarsen(g)
     assert_cf_bitwise(cf, _rs_coarsen_loop(g))
     assert set(cf.labels.tolist()) <= {C_POINT, F_POINT}
-    isolated = (np.diff(g.csr.indptr) == 0) & (np.diff(g.csr.tocsc().indptr) == 0)
+    isolated = (np.diff(g.indptr) == 0) & (np.diff(g.tocsc().indptr) == 0)
     assert np.all(cf.labels[isolated] == F_POINT)
     assert_f_points_see_c(g, cf.labels)
     # the first pass alone already satisfies the invariant, so the

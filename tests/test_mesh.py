@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sthdg.mesh import (SIDE_NAMES, DeformationMap, RefinementBudgetError,
+from sthdg.mesh import (SIDE_NAMES, DeformationMap,
                         SpaceTimeMesh, TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN,
                         bisect_refine, build_st_mesh,
                         classify_boundary, deform_mesh, extract_slab,
@@ -68,12 +68,6 @@ def test_bisect_refine_conforming_and_deterministic():
     assert np.allclose(r1.vertices, r2.vertices)
     # refinement preserves the boundary classification
     assert len(r1.boundary_facets(TAG_FINAL)) >= 4
-
-
-def test_bisect_refine_budget():
-    m = classify_boundary(make(4, 4))
-    with pytest.raises(RefinementBudgetError):
-        bisect_refine(m, range(m.n_elements), max_elements=m.n_elements + 4)
 
 
 def test_repeated_refinement_stays_valid():
