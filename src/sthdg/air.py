@@ -446,7 +446,7 @@ class AirLevel:
 class AirHierarchy:
     levels: list
     coarse_lu: DenseLU
-    lair_fallbacks: int = 0
+    lair_fallbacks: int
 
     @property
     def n_levels(self):

@@ -148,7 +148,7 @@ def _poly_shift(coeffs, dt=0, dx=0):
     return out
 
 
-def make_polyexact(p, nu=0.05, deformed=False):
+def make_polyexact(p, nu, deformed=False):
     """Manufactured polynomial solution reproduced exactly at degree p.
 
     ``u`` is a fixed full-footprint polynomial of total degree p (for

@@ -9,7 +9,10 @@ a :class:`ConfigError` that names it.
 
 Each runner builds its meshes and systems from an
 :class:`ExperimentConfig`, solves with the production pipeline, and
-writes plain CSV.  Formatting is fixed (``repr`` for floats, ``-`` for
+writes plain CSV.  A run solves the case exactly as
+:meth:`ExperimentConfig.make_case` builds it and is labelled with that
+case's ν (``layer1d`` is defined only at ν = 0, so it reads 0.0 whatever
+``nus`` says).  Formatting is fixed (``repr`` for floats, ``-`` for
 runs that :func:`sthdg.solving.accepted` rejects: not converged, or a
 true residual above ``TRUE_RESIDUAL_FACTOR * tol``) and iteration order
 is deterministic, so repeated runs of the same configuration produce
@@ -23,8 +26,8 @@ of :func:`sthdg.solving.solve_problem` (``mesh.extract_slab`` and
 ``hdg.trace`` in slab mode, ``hdg.assemble``, ``hdg.condense``,
 ``sparsela.block_scaling``, ``air.setup``, ``krylov.bicgstab``,
 ``hdg.reconstruct``) and ``hdg.error``.  ``stagnation`` books the stages
-of its one solve; ``relaxcompare`` and ``ordercheck`` write only the
-total, and ``export`` writes no timings.
+of its one solve; ``relaxcompare``, ``ordercheck`` and ``export`` write
+only the total.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import configparser
 import io
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -44,9 +48,9 @@ from .amr import amr_loop
 from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
-from .solving import (SolverParams, accepted, prepare_operator, scaled_system,
+from .solving import (SolverParams, accepted, prepare_operator,
                       solve_condensed, solve_problem, timed)
-from .sparsela import write_matrix_market
+from .sparsela import BlockDiagonalScaling, write_matrix_market
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
            "run_iterations", "run_stagnation", "run_amr",
@@ -251,20 +255,23 @@ def _write_csv(path, header, rows):
     return Path(path)
 
 
-def _write_timings(outdir, stages, total):
-    """``timings.txt``: one ``name seconds`` line per stage, then ``total``."""
-    path = Path(outdir) / "timings.txt"
-    with open(path, "w", newline="\n") as fh:
+@contextmanager
+def _frame(cfg):
+    """One runner's output directory and stage ``Counter``.
+
+    After the body, ``timings.txt`` gets one ``name seconds`` line per
+    booked stage, then ``total``; a body that raises writes none.
+    """
+    out = Path(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    stages = Counter()
+    t_start = time.perf_counter()
+    yield out, stages
+    total = time.perf_counter() - t_start
+    with open(out / "timings.txt", "w", newline="\n") as fh:
         for name, seconds in stages.items():
             fh.write(f"{name} {seconds:.3f}\n")
         fh.write(f"total {total:.3f}\n")
-    return path
-
-
-def _outdir(cfg):
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _solve_entry(cfg, case, nx, nt, params, stages):
@@ -289,47 +296,41 @@ def _solve_entry(cfg, case, nx, nt, params, stages):
 
 def run_converge(cfg):
     """Uniform-refinement error table; one row per (nu, ladder entry)."""
-    out = _outdir(cfg)
-    stages = Counter()
-    t_start = time.perf_counter()
-    rows = []
-    for nu in cfg.nus:
-        case = cfg.make_case(nu)
-        prev = None
-        for nx, nt in cfg.ladder:
-            res = _solve_entry(cfg, case, nx, nt, cfg.solver_params(), stages)
-            rate = "-" if prev is None else np.log2(prev / res["error"])
-            rows.append([cfg.case, cfg.mode, cfg.p, case.prob.nu, nx, nt,
-                         res["elements"], res["dofs"], res["error"], rate])
-            prev = res["error"]
-    path = _write_csv(out / "converge.csv",
-                      ["case", "mode", "p", "nu", "nx", "nt", "elements",
-                       "dofs", "l2_error", "rate"], rows)
-    _write_timings(out, stages, time.perf_counter() - t_start)
-    return [path]
+    with _frame(cfg) as (out, stages):
+        params = cfg.solver_params()
+        rows = []
+        for nu in cfg.nus:
+            case = cfg.make_case(nu)
+            prev = None
+            for nx, nt in cfg.ladder:
+                res = _solve_entry(cfg, case, nx, nt, params, stages)
+                rate = "-" if prev is None else np.log2(prev / res["error"])
+                rows.append([cfg.case, cfg.mode, cfg.p, case.prob.nu, nx, nt,
+                             res["elements"], res["dofs"], res["error"], rate])
+                prev = res["error"]
+        return [_write_csv(out / "converge.csv",
+                           ["case", "mode", "p", "nu", "nx", "nt", "elements",
+                            "dofs", "l2_error", "rate"], rows)]
 
 
 def run_iterations(cfg):
     """Iteration-count grid: ladder rows against nu columns."""
-    out = _outdir(cfg)
-    stages = Counter()
-    t_start = time.perf_counter()
-    header = ["dofs"] + [f"nu={_fmt(nu)}" for nu in cfg.nus]
-    grid = {}
-    dofs_by_entry = {}
-    params = cfg.solver_params(raise_on_failure=False)
-    for nu in cfg.nus:
-        case = cfg.make_case(nu)
-        for entry in cfg.ladder:
-            res = _solve_entry(cfg, case, entry[0], entry[1], params, stages)
-            dofs_by_entry[entry] = res["dofs"]
-            grid[(entry, nu)] = (res["sol"].iterations if res["converged"]
-                                 else "-")
-    rows = [[dofs_by_entry[entry]] + [grid[(entry, nu)] for nu in cfg.nus]
-            for entry in cfg.ladder]
-    path = _write_csv(out / "iterations.csv", header, rows)
-    _write_timings(out, stages, time.perf_counter() - t_start)
-    return [path]
+    with _frame(cfg) as (out, stages):
+        header = ["dofs"]
+        grid = {}
+        dofs_by_entry = {}
+        params = cfg.solver_params(raise_on_failure=False)
+        for nu in cfg.nus:
+            case = cfg.make_case(nu)
+            header.append(f"nu={_fmt(case.prob.nu)}")
+            for entry in cfg.ladder:
+                res = _solve_entry(cfg, case, *entry, params, stages)
+                dofs_by_entry[entry] = res["dofs"]
+                grid[(entry, nu)] = (res["sol"].iterations if res["converged"]
+                                     else "-")
+        rows = [[dofs_by_entry[entry]] + [grid[(entry, nu)] for nu in cfg.nus]
+                for entry in cfg.ladder]
+        return [_write_csv(out / "iterations.csv", header, rows)]
 
 
 def run_stagnation(cfg):
@@ -339,62 +340,54 @@ def run_stagnation(cfg):
     settles to its converged value within the first full step or two,
     long before the residual reaches the stopping tolerance.
     """
-    out = _outdir(cfg)
-    t_start = time.perf_counter()
-    nu = cfg.nus[0]
-    case = cfg.make_case(nu)
-    nx, nt = cfg.ladder[-1]
-    mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-    cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
-    iterates = []
-    params = cfg.solver_params()
-    stages = {}
-    operator = prepare_operator(cs, params, stages)
-    sol = solve_condensed(cs, params, operator=operator,
-                          callback=lambda x, k: iterates.append((k, x.copy())))
-    stages.update(sol.timings)
-    resid = dict(sol.report.residuals)
-    Ss, Hs = operator.matrix, operator.scale(cs.H)
-    hnorm = np.linalg.norm(Hs)
-
-    rows = []
-    for k, lam in [(0, np.zeros(cs.S.shape[0]))] + iterates:
-        err = st_l2_error(mesh, cfg.p, reconstruct(cs, lam), case.prob.exact)
-        true_res = np.linalg.norm(Hs - Ss @ lam) / hnorm
-        rows.append([k, resid.get(k, "-"), true_res, err])
-    path = _write_csv(out / "stagnation.csv",
-                      ["iteration", "precond_residual", "true_residual",
-                       "l2_error"], rows)
-    _write_timings(out, stages, time.perf_counter() - t_start)
-    return [path]
+    with _frame(cfg) as (out, stages):
+        case = cfg.make_case(cfg.nus[0])
+        nx, nt = cfg.ladder[-1]
+        mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
+        cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
+        iterates = []
+        params = cfg.solver_params()
+        operator = prepare_operator(cs, params, stages)
+        sol = solve_condensed(
+            cs, params, operator=operator,
+            callback=lambda x, k: iterates.append((k, x.copy())))
+        stages.update(sol.timings)
+        resid = dict(sol.report.residuals)
+        Ss, Hs = operator.matrix, operator.scale(cs.H)
+        hnorm = np.linalg.norm(Hs)
+        rows = []
+        for k, lam in [(0, np.zeros(cs.S.shape[0]))] + iterates:
+            err = st_l2_error(mesh, cfg.p, reconstruct(cs, lam),
+                              case.prob.exact)
+            true_res = np.linalg.norm(Hs - Ss @ lam) / hnorm
+            rows.append([k, resid.get(k, "-"), true_res, err])
+        return [_write_csv(out / "stagnation.csv",
+                           ["iteration", "precond_residual", "true_residual",
+                            "l2_error"], rows)]
 
 
 def run_amr(cfg):
     """Adaptive loop records plus a uniform ladder for comparison."""
-    out = _outdir(cfg)
-    stages = Counter()
-    t_start = time.perf_counter()
-    nu = cfg.nus[0]
-    case = cfg.make_case(nu)
-    params = cfg.solver_params()
-    records = amr_loop(case, cfg.p, cfg.cycles, params=params, n0=cfg.n0,
-                       fraction=cfg.fraction)
-    rows = [[r.cycle, r.n_coupled, r.l2_error, r.iterations, r.median_h]
-            for r in records]
-    paths = [_write_csv(out / "amr.csv",
-                        ["cycle", "n_coupled", "l2_error", "iterations",
-                         "median_h"], rows)]
-    urows = []
-    for nx, nt in cfg.ladder:
-        res = _solve_entry(cfg, case, nx, nt, params, stages)
-        urows.append([nx, nt, res["dofs"], res["error"],
-                      res["sol"].iterations,
-                      float(np.median(res["mesh"].element_h))])
-    paths.append(_write_csv(out / "amr_uniform.csv",
-                            ["nx", "nt", "n_coupled", "l2_error",
-                             "iterations", "median_h"], urows))
-    _write_timings(out, stages, time.perf_counter() - t_start)
-    return paths
+    with _frame(cfg) as (out, stages):
+        case = cfg.make_case(cfg.nus[0])
+        params = cfg.solver_params()
+        records = amr_loop(case, cfg.p, cfg.cycles, params=params, n0=cfg.n0,
+                           fraction=cfg.fraction)
+        rows = [[r.cycle, r.n_coupled, r.l2_error, r.iterations, r.median_h]
+                for r in records]
+        paths = [_write_csv(out / "amr.csv",
+                            ["cycle", "n_coupled", "l2_error", "iterations",
+                             "median_h"], rows)]
+        urows = []
+        for nx, nt in cfg.ladder:
+            res = _solve_entry(cfg, case, nx, nt, params, stages)
+            urows.append([nx, nt, res["dofs"], res["error"],
+                          res["sol"].iterations,
+                          float(np.median(res["mesh"].element_h))])
+        paths.append(_write_csv(out / "amr_uniform.csv",
+                                ["nx", "nt", "n_coupled", "l2_error",
+                                 "iterations", "median_h"], urows))
+        return paths
 
 
 def run_relaxcompare(cfg):
@@ -403,60 +396,57 @@ def run_relaxcompare(cfg):
     Includes the no-block-scaling ablation (``no_block_inv`` column):
     the same default relaxation, but on the unscaled facet system.
     """
-    out = _outdir(cfg)
-    t_start = time.perf_counter()
-    nu = cfg.nus[0]
-    case = cfg.make_case(nu)
-    records = amr_loop(case, cfg.p, cfg.cycles, params=cfg.solver_params(),
-                       n0=cfg.n0, fraction=cfg.fraction, keep_meshes=True)
-    columns = ([replace(cfg, relaxation=scheme).solver_params(False)
-                for scheme in _SCHEMES] +
-               [replace(cfg, scale_blocks=False).solver_params(False)])
-    rows = []
-    for rec in records:
-        cs = condense(assemble_blocks(rec.mesh, cfg.p, case.prob))
-        row = [rec.n_coupled]
-        for params in columns:
-            sol = solve_condensed(cs, params)
-            row.append(sol.iterations if accepted(sol.report, params.tol) else "-")
-        rows.append(row)
-    path = _write_csv(out / "relaxcompare.csv",
-                      ["n_coupled"] + list(_SCHEMES) + ["no_block_inv"], rows)
-    _write_timings(out, {}, time.perf_counter() - t_start)
-    return [path]
+    with _frame(cfg) as (out, _):
+        case = cfg.make_case(cfg.nus[0])
+        records = amr_loop(case, cfg.p, cfg.cycles,
+                           params=cfg.solver_params(), n0=cfg.n0,
+                           fraction=cfg.fraction, keep_meshes=True)
+        columns = ([replace(cfg, relaxation=scheme).solver_params(False)
+                    for scheme in _SCHEMES] +
+                   [replace(cfg, scale_blocks=False).solver_params(False)])
+        rows = []
+        for rec in records:
+            cs = condense(assemble_blocks(rec.mesh, cfg.p, case.prob))
+            row = [rec.n_coupled]
+            for params in columns:
+                sol = solve_condensed(cs, params)
+                row.append(sol.iterations if accepted(sol.report, params.tol)
+                           else "-")
+            rows.append(row)
+        return [_write_csv(out / "relaxcompare.csv",
+                           ["n_coupled"] + list(_SCHEMES) + ["no_block_inv"],
+                           rows)]
 
 
 def run_ordercheck(cfg):
     """Topological block-order diagnostics of the scaled facet system.
 
-    For each nu: build the case's system with that viscosity, scale it,
-    search for a topological block ordering, and apply one ordered block
+    For each nu: build the case's system at its own ν, scale it, search
+    for a topological block ordering, and apply one ordered block
     Gauss-Seidel sweep.  A complete ordering (acyclic block graph) makes
     that sweep an exact solve; cyclic couplings are reported per block.
     """
-    out = _outdir(cfg)
-    t_start = time.perf_counter()
-    nx, nt = cfg.ladder[-1]
-    rows = []
-    for nu in cfg.nus:
-        case = cfg.make_case(nu)
-        prob = replace(case.prob, nu=nu)
-        mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-        cs = condense(assemble_blocks(mesh, cfg.p, prob))
-        Ss, Hs = scaled_system(cs)
-        order = topological_block_order(Ss, cs.facet_block_size)
-        plan = RelaxationPlan(Ss, "ordered_block_gs",
-                              block_size=cs.facet_block_size, ordering=order)
-        x = plan.apply(Hs, np.zeros_like(Hs))
-        res = np.linalg.norm(Hs - Ss @ x) / np.linalg.norm(Hs)
-        rows.append([nu, Ss.shape[0], cs.facet_block_size,
-                     len(order.order), int(order.complete),
-                     len(order.cycle_blocks), res])
-    path = _write_csv(out / "ordercheck.csv",
-                      ["nu", "dofs", "block_size", "n_blocks", "complete",
-                       "n_cycle_blocks", "sweep_residual"], rows)
-    _write_timings(out, {}, time.perf_counter() - t_start)
-    return [path]
+    with _frame(cfg) as (out, _):
+        nx, nt = cfg.ladder[-1]
+        rows = []
+        for nu in cfg.nus:
+            case = cfg.make_case(nu)
+            mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
+            cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
+            scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
+            Ss, Hs = scaling.matrix, scaling.apply(cs.H)
+            order = topological_block_order(Ss, cs.facet_block_size)
+            plan = RelaxationPlan(Ss, "ordered_block_gs",
+                                  block_size=cs.facet_block_size,
+                                  ordering=order)
+            x = plan.apply(Hs, np.zeros_like(Hs))
+            res = np.linalg.norm(Hs - Ss @ x) / np.linalg.norm(Hs)
+            rows.append([case.prob.nu, Ss.shape[0], cs.facet_block_size,
+                         len(order.order), int(order.complete),
+                         len(order.cycle_blocks), res])
+        return [_write_csv(out / "ordercheck.csv",
+                           ["nu", "dofs", "block_size", "n_blocks", "complete",
+                            "n_cycle_blocks", "sweep_residual"], rows)]
 
 
 def run_export(cfg):
@@ -466,24 +456,24 @@ def run_export(cfg):
     side in Matrix Market form, the facet block size, and one CF label
     per matrix row tagged with its facet midpoint.
     """
-    out = _outdir(cfg)
-    nu = cfg.nus[0]
-    case = cfg.make_case(nu)
-    nx, nt = cfg.ladder[-1]
-    mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-    cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
-    Ss, Hs = scaled_system(cs, cfg.scale_blocks)
-    write_matrix_market(out / "system.mtx", Ss)
-    write_matrix_market(out / "rhs.mtx", Hs)
-    paths = [out / "system.mtx", out / "rhs.mtx"]
-    bpath = out / "block_size.txt"
-    with open(bpath, "w", newline="\n") as fh:
-        fh.write(f"{cs.facet_block_size}\n")
-    paths.append(bpath)
-    cf = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
-    pos = lambda_dof_positions(cs)
-    rows = [[i, pos[i, 0], pos[i, 1], "C" if cf.labels[i] else "F"]
-            for i in range(Ss.shape[0])]
-    paths.append(_write_csv(out / "cf_labels.csv",
-                            ["row", "t", "x", "label"], rows))
-    return paths
+    with _frame(cfg) as (out, _):
+        case = cfg.make_case(cfg.nus[0])
+        nx, nt = cfg.ladder[-1]
+        mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
+        cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
+        Ss, Hs = cs.S, cs.H
+        if cfg.scale_blocks:
+            scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
+            Ss, Hs = scaling.matrix, scaling.apply(cs.H)
+        write_matrix_market(out / "system.mtx", Ss)
+        write_matrix_market(out / "rhs.mtx", Hs)
+        bpath = out / "block_size.txt"
+        with open(bpath, "w", newline="\n") as fh:
+            fh.write(f"{cs.facet_block_size}\n")
+        cf = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
+        pos = lambda_dof_positions(cs)
+        rows = [[i, pos[i, 0], pos[i, 1], "C" if cf.labels[i] else "F"]
+                for i in range(Ss.shape[0])]
+        return [out / "system.mtx", out / "rhs.mtx", bpath,
+                _write_csv(out / "cf_labels.csv", ["row", "t", "x", "label"],
+                           rows)]

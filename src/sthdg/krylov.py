@@ -9,14 +9,18 @@ half-step residual history, and breakdown/restart bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["SolveReport", "BreakdownError", "bicgstab"]
 
 
-class BreakdownError(RuntimeError):
+class SolverFailure(RuntimeError):
+    """The linear solver did not reach the requested tolerance."""
+
+
+class BreakdownError(SolverFailure):
     """rho or omega collapsed twice (restart did not help)."""
 
 
@@ -34,7 +38,7 @@ class SolveReport:
         return self.residuals[-1][1] if self.residuals else np.nan
 
 
-def bicgstab(A, b, M=None, tol=1e-12, maxiter=5000, callback=None):
+def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
     """Solve A x = b from a zero initial guess.
 
     Parameters

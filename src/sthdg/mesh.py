@@ -90,14 +90,14 @@ class SpaceTimeMesh:
     """
 
     def __init__(self, vertices, elements, slab_index, side_of_edge, mode, box,
-                 n_slabs=None):
+                 n_slabs):
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self.slab_index = np.asarray(slab_index, dtype=np.int64)
         self.side_of_edge = dict(side_of_edge)
         self.mode = mode
         self.box = tuple(float(v) for v in box)
-        self.n_slabs = int(n_slabs) if n_slabs is not None else int(self.slab_index.max()) + 1
+        self.n_slabs = int(n_slabs)
         self.neumann_sides = None  # set by classify_boundary
         self._build_connectivity()
 

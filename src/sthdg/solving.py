@@ -31,13 +31,13 @@ import numpy as np
 from .air import AirParams, build_hierarchy
 from .hdg import (assemble_blocks, condense, line_trace_evaluator, reconstruct,
                   st_l2_error)
-from .krylov import bicgstab
+from .krylov import SolverFailure, bicgstab
 from .mesh import extract_slab
 from .sparsela import block_diag_inverse_scale
 
 __all__ = ["SolverParams", "SolverFailure", "PreparedOperator",
-           "CondensedSolve", "SlabSolution", "accepted", "scaled_system",
-           "prepare_operator", "solve_condensed", "solve_problem", "timed"]
+           "CondensedSolve", "SlabSolution", "accepted", "prepare_operator",
+           "solve_condensed", "solve_problem", "timed"]
 
 
 @contextmanager
@@ -46,10 +46,6 @@ def timed(timings, stage):
     t0 = time.perf_counter()
     yield
     timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
-
-
-class SolverFailure(RuntimeError):
-    """The linear solver did not reach the requested tolerance."""
 
 
 # A converged solve must also have a true (unpreconditioned) relative
@@ -120,29 +116,12 @@ class CondensedSolve:
         return self.report.iterations
 
 
-def _scaling(cs, scale_blocks):
-    """The left block scaling of ``cs.S``, or None without one."""
-    if scale_blocks:
-        return block_diag_inverse_scale(cs.S, cs.facet_block_size)
-    return None
-
-
-def scaled_system(cs, scale_blocks=True):
-    """The facet system ``(S, H)`` the iteration sees.
-
-    With ``scale_blocks`` both are scaled on the left by the inverse facet
-    diagonal blocks; otherwise they are returned as condensed.
-    """
-    scaling = _scaling(cs, scale_blocks)
-    if scaling is None:
-        return cs.S, cs.H
-    return scaling.matrix, scaling.apply(cs.H)
-
-
 def prepare_operator(cs, params, timings):
-    """Block-scale ``cs.S`` and build the AIR hierarchy on the result."""
+    """Block-scale ``cs.S`` unless ``params.scale_blocks`` is off, then
+    build the AIR hierarchy on the result."""
     with timed(timings, "sparsela.block_scaling"):
-        scaling = _scaling(cs, params.scale_blocks)
+        scaling = (block_diag_inverse_scale(cs.S, cs.facet_block_size)
+                   if params.scale_blocks else None)
     with timed(timings, "air.setup"):
         hierarchy = build_hierarchy(
             cs.S if scaling is None else scaling.matrix, params.air,

@@ -30,7 +30,7 @@ def validated_meshes(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mesh():
-    m = build_case_mesh(make_polyexact(1), 5, 4, mode="all_at_once")
+    m = build_case_mesh(make_polyexact(1, 0.05), 5, 4, mode="all_at_once")
     # refine a few elements so the vertex patches are not all structured
     m = bisect_refine(m, [0, 3, 11])
     validate_mesh(m)

@@ -61,7 +61,7 @@ def test_pulse_spot_values():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_polyexact_consistency(p):
-    case = make_polyexact(p)
+    case = make_polyexact(p, 0.05)
     rng = np.random.default_rng(p)
     pts = sample_points(rng)
     ut = cstep(case.prob.exact, pts, 0)
@@ -72,7 +72,7 @@ def test_polyexact_consistency(p):
 
 
 def test_polyexact_p1_source_is_constant():
-    case = make_polyexact(1)  # u = 1 + t + x, so f = u_t + u_x = 2
+    case = make_polyexact(1, 0.05)  # u = 1 + t + x, so f = u_t + u_x = 2
     rng = np.random.default_rng(0)
     pts = sample_points(rng, 20)
     assert np.allclose(case.prob.source(pts), 2.0, atol=1e-14)

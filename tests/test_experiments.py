@@ -14,6 +14,7 @@ from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
                                run_iterations, run_ordercheck,
                                run_relaxcompare, run_stagnation)
 from sthdg.hdg import assemble_blocks, condense
+from sthdg.krylov import BreakdownError
 from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
                            solve_problem)
 from sthdg.sparsela import read_matrix_market
@@ -147,16 +148,21 @@ def test_solve_problem_books_every_stage_once_per_system(monkeypatch, mode,
 
 
 def test_converge_timings_are_stages_and_total(tmp_path):
-    (path,) = run_converge(cfg(outdir=str(tmp_path), mode="slab"))
-    lines = [line.split() for line in
-             (tmp_path / "timings.txt").read_text().splitlines()]
-    names = [name for name, _ in lines]
-    assert names == ["mesh.build", "mesh.extract_slab", "hdg.assemble",
-                     "hdg.condense", *SOLVE_STAGES, "hdg.trace", "hdg.error",
-                     "total"]
-    seconds = [float(v) for _, v in lines]
-    # disjoint stages inside the total; each value is rounded to the ms
-    assert sum(seconds[:-1]) <= seconds[-1] + 5e-4 * len(lines)
+    # every runner writes timings.txt: the stages it books, then the total
+    ladder = ["mesh.build", "mesh.extract_slab", "hdg.assemble",
+              "hdg.condense", *SOLVE_STAGES, "hdg.trace", "hdg.error"]
+    booked = {run_converge: ladder, run_iterations: ladder,
+              run_stagnation: SOLVE_STAGES, run_amr: ladder,
+              run_relaxcompare: [], run_ordercheck: [], run_export: []}
+    for run, stages in booked.items():
+        out = tmp_path / run.__name__
+        run(cfg(outdir=str(out), mode="slab", cycles=1))
+        lines = [line.split() for line in
+                 (out / "timings.txt").read_text().splitlines()]
+        assert [name for name, _ in lines] == [*stages, "total"], run
+        seconds = [float(v) for _, v in lines]
+        # disjoint stages inside the total; each value is rounded to the ms
+        assert sum(seconds[:-1]) <= seconds[-1] + 5e-4 * len(lines)
 
 
 def test_iterations_csv_grid(tmp_path):
@@ -204,7 +210,7 @@ def test_relaxcompare_columns(tmp_path):
 
 
 def test_ordercheck_table(tmp_path):
-    c = ExperimentConfig(case="layer1d", p=1, nus=(0.0, 1e-2),
+    c = ExperimentConfig(case="pulse1d", p=1, nus=(0.0, 1e-2),
                          ladder=((8, 8),), outdir=str(tmp_path))
     (path,) = run_ordercheck(c)
     lines = path.read_text().splitlines()
@@ -212,6 +218,19 @@ def test_ordercheck_table(tmp_path):
     assert rows[0][4] == "1" and rows[0][5] == "0"   # nu=0: acyclic
     assert float(rows[0][6]) < 1e-12
     assert rows[1][4] == "0" and int(rows[1][5]) > 0  # nu>0: cycles reported
+
+
+def test_layer1d_tables_label_the_nu_solved(tmp_path):
+    # layer1d is defined only at nu = 0: every run solves and reads 0.0
+    c = ExperimentConfig(case="layer1d", p=1, nus=(1e-3, 1e-2),
+                         ladder=((4, 4),), outdir=str(tmp_path))
+    (path,) = run_iterations(c)
+    lines = path.read_text().splitlines()
+    assert lines == ["dofs,nu=0.0,nu=0.0", "96,1,1"]
+    (path,) = run_ordercheck(c)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.0", "0.0"]
+    assert all(row[4] == "1" and row[5] == "0" for row in rows)
 
 
 def test_export_files_consistent(tmp_path):
@@ -281,6 +300,20 @@ def test_cli_solver_failure_exit_3(tmp_path, capsys):
                  "--nu", "0.1", "--p", "1"])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_breakdown_exit_3(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise BreakdownError("rho/omega breakdown at iteration 1")
+
+    monkeypatch.setattr(sthdg.solving, "bicgstab", breakdown)
+    small = tmp_path / "small.ini"
+    small.write_text("[experiment]\nladder = 4\n")
+    code = main(["iterations", "--config", str(small),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "timings.txt").exists()
 
 
 def report_true_residual(monkeypatch, true_residual):

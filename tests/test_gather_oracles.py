@@ -30,7 +30,6 @@ from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS, AirParams,
                        strength_graph)
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import assemble_blocks, condense
-from sthdg.solving import scaled_system
 from sthdg.sparsela import BlockDiagonalScaling, csr_gather, validate_csr
 
 
@@ -215,7 +214,7 @@ def pulse_system(nu):
     """Unscaled facet system, its block size and every AIR level (p=2, 16x16)."""
     case = case_by_name("pulse1d", p=2, nu=nu)
     cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
-    Ss, _ = scaled_system(cs)
+    Ss = BlockDiagonalScaling(cs.S, cs.facet_block_size).matrix
     h = build_hierarchy(Ss, AirParams(), cs.facet_block_size)
     return cs.S, cs.facet_block_size, h
 

@@ -24,7 +24,7 @@ def test_default_penalty():
 
 def test_assemble_requires_classified_boundary():
     mesh = build_st_mesh(2, 2, box=(0, 1, -0.5, 0.5), mode="all_at_once")
-    case = make_polyexact(1)
+    case = make_polyexact(1, 0.05)
     with pytest.raises(ValueError):
         assemble_blocks(mesh, 1, case.prob)
 

@@ -125,7 +125,7 @@ def test_mesh_io_roundtrip(tmp_path):
 def unit_square(elements, side_of_edge):
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     return SpaceTimeMesh(verts, elements, np.zeros(len(elements), dtype=int),
-                         side_of_edge, "all_at_once", (0.0, 1.0, 0.0, 1.0))
+                         side_of_edge, "all_at_once", (0.0, 1.0, 0.0, 1.0), 1)
 
 
 def test_negatively_oriented_element_rejected():
@@ -140,7 +140,7 @@ def test_facet_shared_by_three_elements_rejected():
     with pytest.raises(ValueError,
                        match=r"facet \(0, 1\) shared by more than two elements"):
         SpaceTimeMesh(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 0, 0], {},
-                      "all_at_once", (0.0, 1.0, -1.0, 2.0))
+                      "all_at_once", (0.0, 1.0, -1.0, 2.0), 1)
 
 
 @pytest.mark.parametrize("alias", [False, True])
@@ -156,7 +156,8 @@ def test_unlabeled_boundary_facet_rejected(alias):
         side[(key[0] - 1, key[1] + m.n_vertices)] = label
     with pytest.raises(ValueError, match=rf"boundary facet \({key[0]}, {key[1]}\) "
                                          "has no side label"):
-        SpaceTimeMesh(m.vertices, m.elements, m.slab_index, side, m.mode, m.box)
+        SpaceTimeMesh(m.vertices, m.elements, m.slab_index, side, m.mode, m.box,
+                      m.n_slabs)
 
 
 def test_labeled_hanging_vertex_rejected_by_validate_mesh():
@@ -167,7 +168,7 @@ def test_labeled_hanging_vertex_rejected_by_validate_mesh():
     side = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (1, 3): 3,
             (1, 2): 0, (1, 4): 0, (2, 4): 0}
     m = SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0], side,
-                      "all_at_once", (0.0, 1.0, 0.0, 1.0))
+                      "all_at_once", (0.0, 1.0, 0.0, 1.0), 1)
     with pytest.raises(AssertionError, match="vertex 4 hangs on facet"):
         validate_mesh(m)
 
