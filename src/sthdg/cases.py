@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .hdg import ProblemSpec
-from .mesh import DeformationMap, build_st_mesh, classify_boundary, deform_mesh
+from .mesh import DeformationMap, build_st_mesh, deform_mesh
 
 __all__ = ["Case", "make_pulse1d", "make_layer1d", "make_polyexact",
            "build_case_mesh", "trace_neumann"]
@@ -32,9 +32,8 @@ class Case:
 
 
 def build_case_mesh(case, nx, nt, mode="all_at_once"):
-    """Uniform classified (and possibly deformed) mesh for a case."""
+    """Uniform (and possibly deformed) mesh for a case."""
     m = build_st_mesh(nx, nt, case.box, mode)
-    classify_boundary(m, case.prob.neumann_sides)
     if case.deformation is not None:
         m = deform_mesh(m, case.deformation)
     return m

@@ -12,10 +12,14 @@ facet unknowns ``lambda`` in P_p per facet segment.  The facet flux
 with ``a_n = n_t + a n_x`` and penalty ``alpha = 10 p^2`` couples the two
 spaces; the diffusive gradient is spatial only (the space-time diffusion
 tensor is diag(0, nu), whose facet-normal component nu n_x^2 weights the
-penalty), so time stepping is upwinding through the mesh.  Dirichlet data is eliminated (lifted into the
-right-hand side), inflow-like Neumann facets carry
-``-zeta u a_n + nu u_x n_x = g_N`` weakly, and the final-time surface is a
-vacuous outflow Neumann facet.
+penalty), so time stepping is upwinding through the mesh.
+
+Boundary conditions come from the problem, read once per assembly from
+the mesh's side labels: ``tmin`` facets are inflow-like Neumann, carrying
+``-zeta u a_n + nu u_x n_x = g_N`` weakly, ``tmax`` facets are the
+vacuous outflow Neumann surface, and a spatial side is Neumann when
+:attr:`ProblemSpec.neumann_sides` names it and Dirichlet otherwise.
+Dirichlet data is eliminated (lifted into the right-hand side).
 
 Assembly produces per-element dense blocks plus the facet-coupled blocks
 of the saddle system
@@ -37,8 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import segment_basis, triangle_basis, tri_space_dim
-from .mesh import (TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN, _LOCAL_EDGES,
-                   _SIDE_ID)
+from .mesh import _LOCAL_EDGES, _SIDE_ID
 from .quadrature import segment_rule, triangle_rule
 from .sparsela import SingularBlockError, block_diag_csr, validate_csr
 
@@ -71,7 +74,9 @@ class ProblemSpec:
     ``velocity`` may be a constant or a callable on (n, 2) space-time
     points; ``neumann`` receives points and the matching outward normals
     and must implement the inflow-trace formula for manufactured data.
-    ``None`` data callables mean homogeneous data.
+    ``None`` data callables mean homogeneous data.  ``neumann_sides``
+    names the spatial sides (``xlo``, ``xhi``) that carry Neumann data;
+    the others are Dirichlet.
     """
 
     nu: float
@@ -83,6 +88,11 @@ class ProblemSpec:
     exact_grad: Optional[Callable] = None  # rows (u_t, u_x)
     neumann_sides: tuple = ()
     name: str = ""
+
+    def __post_init__(self):
+        for s in self.neumann_sides:
+            if s not in ("xlo", "xhi"):
+                raise ValueError(f"neumann_sides may only name spatial sides, got {s!r}")
 
     def velocity_at(self, points):
         if callable(self.velocity):
@@ -229,9 +239,6 @@ def assemble_blocks(mesh, p, prob):
     """Assemble the four-block HDG system for ``prob`` at degree ``p``."""
     if p < 1:
         raise ValueError("degree must be >= 1")
-    bnd = mesh.boundary_facets()
-    if len(bnd) and np.any(mesh.boundary_tags[bnd] == 0):
-        raise ValueError("mesh boundary is unclassified; run classify_boundary first")
     nu = float(prob.nu)
     alpha = default_penalty(p)
     rq, rw, phi, gref, sseg, wf, psi, traces = _tables(p)
@@ -261,7 +268,11 @@ def assemble_blocks(mesh, p, prob):
     elem_C = np.zeros((ne, 3, nM, nV))
     D_blocks = np.zeros((nf, nM, nM))
     G_blocks = np.zeros((nf, nM))
-    tags = mesh.boundary_tags
+    # tmin (inflow data), tmax (vacuous outflow) and the problem's Neumann
+    # sides couple a trace; every other boundary facet is Dirichlet
+    on_neumann = np.isin(mesh.boundary_sides, [
+        _SIDE_ID[s] for s in ("tmin", "tmax", *prob.neumann_sides)])
+    on_dirichlet = (mesh.boundary_sides >= 0) & ~on_neumann
 
     for (la, lb), (fids, kids, locs, sides) in _facet_side_groups(mesh).items():
         TV, TGref = traces[(la, lb)]
@@ -289,7 +300,7 @@ def assemble_blocks(mesh, p, prob):
         A_f -= nu * _einsum("mq,qj,mqi->mij", w2 * nx, TV, Gxt)
         np.add.at(elem_A, kids, A_f)
 
-        is_dir = tags[fids] == TAG_DIRICHLET
+        is_dir = on_dirichlet[fids]
         nd = ~is_dir
         if nd.any():
             wB = (w2 * (ami - coef))[nd]
@@ -313,7 +324,7 @@ def assemble_blocks(mesh, p, prob):
                                  Gxt[is_dir])
             np.add.at(elem_F, kids[is_dir], -lift)
         # inflow-like and final facets: outflow stabilization + data
-        is_neu = (tags[fids] == TAG_NEUMANN) | (tags[fids] == TAG_FINAL)
+        is_neu = on_neumann[fids]
         if is_neu.any():
             np.add.at(D_blocks, fids[is_neu],
                       _einsum("mq,qn,qk->mnk", (w2 * apl)[is_neu], psi, psi))
@@ -325,8 +336,7 @@ def assemble_blocks(mesh, p, prob):
                 np.add.at(G_blocks, fids[is_neu],
                           _einsum("mq,mq,qn->mn", w2[is_neu], gn, psi))
 
-    coupled = np.nonzero((mesh.facet_elems[:, 1] >= 0) |
-                         (tags == TAG_NEUMANN) | (tags == TAG_FINAL))[0]
+    coupled = np.nonzero((mesh.facet_elems[:, 1] >= 0) | on_neumann)[0]
 
     # In the pure-advection limit a facet can align with the characteristics
     # (a_n = 0 along it); nothing then couples to its trace, whose value is

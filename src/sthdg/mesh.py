@@ -14,8 +14,9 @@ assigns peaks at the right-angle corners, so all refinement edges are
 anti-diagonal hypotenuses and the initial mesh is compatibly divisible.
 
 Boundary facets carry a side label (``tmin``, ``tmax``, ``xlo``, ``xhi``)
-recorded at construction and inherited under deformation and refinement;
-:func:`classify_boundary` maps side labels to boundary condition tags.
+recorded at construction and inherited under deformation and refinement.
+The mesh holds geometry and side labels only: which condition a side
+carries is the problem's to say (:func:`sthdg.hdg.assemble_blocks`).
 
 Facet numbering is a contract: facets are the sorted vertex pairs in
 lexicographic order, whatever the element order, and side 0 of a facet is
@@ -25,7 +26,6 @@ of the keys ``lo * n_vertices + hi``, not from a loop over elements.
 
 from __future__ import annotations
 
-import io
 import numpy as np
 
 __all__ = [
@@ -33,26 +33,16 @@ __all__ = [
     "DeformationMap",
     "build_st_mesh",
     "deform_mesh",
-    "classify_boundary",
     "bisect_refine",
     "extract_slab",
     "validate_mesh",
     "write_mesh",
     "read_mesh",
     "SIDE_NAMES",
-    "TAG_INTERIOR",
-    "TAG_DIRICHLET",
-    "TAG_NEUMANN",
-    "TAG_FINAL",
 ]
 
 SIDE_NAMES = ("tmin", "tmax", "xlo", "xhi")
 _SIDE_ID = {name: i for i, name in enumerate(SIDE_NAMES)}
-
-TAG_INTERIOR = 0
-TAG_DIRICHLET = 1
-TAG_NEUMANN = 2  # inflow-like: -zeta*u*a_n + nu*grad(u).n = g_N
-TAG_FINAL = 3  # outflow top surface; Neumann-type with vanishing data
 
 # local edge l is opposite local vertex l
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -85,8 +75,6 @@ class SpaceTimeMesh:
     - ``facet_normals`` (nf, 2, 2): unit outward normal per adjacent side.
     - ``facet_lengths`` (nf,), ``elem_facets`` (ne, 3).
     - ``boundary_sides`` (nf,): side id, -1 for interior facets.
-    - ``boundary_tags`` (nf,): condition tags, all interior until
-      :func:`classify_boundary` runs.
     """
 
     def __init__(self, vertices, elements, slab_index, side_of_edge, mode, box,
@@ -98,7 +86,6 @@ class SpaceTimeMesh:
         self.mode = mode
         self.box = tuple(float(v) for v in box)
         self.n_slabs = int(n_slabs)
-        self.neumann_sides = None  # set by classify_boundary
         self._build_connectivity()
 
     # -- construction ---------------------------------------------------
@@ -166,7 +153,6 @@ class SpaceTimeMesh:
             raise ValueError(f"boundary facet {(a, b)} has no side label")
         self.boundary_sides = np.full(nf, -1, dtype=np.int8)
         self.boundary_sides[bnd] = label[ok][lorder][pos]
-        self.boundary_tags = np.zeros(nf, dtype=np.int8)
         self.element_h = self._element_h()
 
     def _element_h(self):
@@ -188,24 +174,14 @@ class SpaceTimeMesh:
     def n_facets(self):
         return len(self.facets)
 
-    def boundary_facets(self, tag=None):
-        """Indices of boundary facets, optionally restricted to one tag."""
-        is_bnd = self.facet_elems[:, 1] < 0
-        if tag is None:
-            return np.nonzero(is_bnd)[0]
-        return np.nonzero(is_bnd & (self.boundary_tags == tag))[0]
-
     def facet_midpoints(self):
         return 0.5 * (self.vertices[self.facets[:, 0]] + self.vertices[self.facets[:, 1]])
 
     def replace_vertices(self, vertices):
         """Same topology and labels with new coordinates."""
-        m = SpaceTimeMesh(vertices, self.elements, self.slab_index,
-                          self.side_of_edge, self.mode, self.box,
-                          n_slabs=self.n_slabs)
-        if self.neumann_sides is not None:
-            classify_boundary(m, self.neumann_sides)
-        return m
+        return SpaceTimeMesh(vertices, self.elements, self.slab_index,
+                             self.side_of_edge, self.mode, self.box,
+                             n_slabs=self.n_slabs)
 
 
 class DeformationMap:
@@ -281,29 +257,6 @@ def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
 def deform_mesh(mesh, deformation):
     """Apply a :class:`DeformationMap` to the mesh vertices."""
     return mesh.replace_vertices(deformation(mesh.vertices))
-
-
-def classify_boundary(mesh, neumann_sides=()):
-    """Assign boundary condition tags from side labels.
-
-    ``tmin`` is always inflow-like Neumann (the initial condition enters
-    through it), ``tmax`` is always the final outflow surface, and
-    spatial sides are Dirichlet unless listed in ``neumann_sides``.
-    Returns the mesh for chaining.
-    """
-    for s in neumann_sides:
-        if s not in ("xlo", "xhi"):
-            raise ValueError(f"neumann_sides may only name spatial sides, got {s!r}")
-    tags = np.zeros(mesh.n_facets, dtype=np.int8)
-    sides = mesh.boundary_sides
-    tags[sides == _SIDE_ID["tmin"]] = TAG_NEUMANN
-    tags[sides == _SIDE_ID["tmax"]] = TAG_FINAL
-    for name in ("xlo", "xhi"):
-        tag = TAG_NEUMANN if name in neumann_sides else TAG_DIRICHLET
-        tags[sides == _SIDE_ID[name]] = tag
-    mesh.boundary_tags = tags
-    mesh.neumann_sides = tuple(neumann_sides)
-    return mesh
 
 
 def bisect_refine(mesh, marked):
@@ -403,11 +356,8 @@ def bisect_refine(mesh, marked):
     ids = sorted(elems)
     new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
     new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
-    out = SpaceTimeMesh(np.asarray(verts), new_elems, new_slab, side,
-                        mesh.mode, mesh.box, n_slabs=mesh.n_slabs)
-    if mesh.neumann_sides is not None:
-        classify_boundary(out, mesh.neumann_sides)
-    return out
+    return SpaceTimeMesh(np.asarray(verts), new_elems, new_slab, side,
+                         mesh.mode, mesh.box, n_slabs=mesh.n_slabs)
 
 
 def extract_slab(mesh, n):
@@ -441,8 +391,6 @@ def extract_slab(mesh, n):
     sub = SpaceTimeMesh(mesh.vertices[vids], sub_elems,
                         np.full(len(keep), n, dtype=np.int64), side,
                         "slab", mesh.box, n_slabs=mesh.n_slabs)
-    if mesh.neumann_sides is not None:
-        classify_boundary(sub, mesh.neumann_sides)
     return sub, keep, vids
 
 
@@ -514,22 +462,19 @@ def _hanging_pairs(vertices, facets, tol, scale):
 
 
 def write_mesh(mesh, path_or_stream):
-    """Plain-text mesh format with 17-significant-digit coordinates."""
+    """Plain-text mesh format (version 2) with 17-significant-digit
+    coordinates."""
     own = isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__")
     f = open(path_or_stream, "w", newline="\n") if own else path_or_stream
     try:
-        f.write("sthdg-mesh 1\n")
+        f.write("sthdg-mesh 2\n")
         f.write(f"mode {mesh.mode}\n")
         f.write("box " + " ".join("%.17g" % v for v in mesh.box) + "\n")
         f.write(f"nslabs {mesh.n_slabs}\n")
-        ns = mesh.neumann_sides
-        f.write("classified " + ("none" if ns is None else ",".join(ns) or "-") + "\n")
         f.write(f"vertices {mesh.n_vertices}\n")
-        for t, x in mesh.vertices:
-            f.write("%.17g %.17g\n" % (t, x))
+        np.savetxt(f, mesh.vertices, fmt="%.17g")
         f.write(f"elements {mesh.n_elements}\n")
-        for tri, s in zip(mesh.elements, mesh.slab_index):
-            f.write("%d %d %d %d\n" % (tri[0], tri[1], tri[2], s))
+        np.savetxt(f, np.column_stack([mesh.elements, mesh.slab_index]), fmt="%d")
         items = sorted(mesh.side_of_edge.items())
         f.write(f"boundary {len(items)}\n")
         for (a, b), s in items:
@@ -540,23 +485,26 @@ def write_mesh(mesh, path_or_stream):
 
 
 def read_mesh(path_or_stream):
-    """Inverse of :func:`write_mesh`; coordinates round-trip exactly."""
+    """Inverse of :func:`write_mesh`; coordinates round-trip exactly.
+
+    Version 1 files, which carried a ``classified`` line after
+    ``nslabs``, are read by skipping that line.
+    """
     own = isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__")
     f = open(path_or_stream, "r") if own else path_or_stream
     try:
         header = f.readline().split()
-        if header[:1] != ["sthdg-mesh"]:
-            raise ValueError("not a mesh file")
+        if header not in (["sthdg-mesh", "1"], ["sthdg-mesh", "2"]):
+            raise ValueError(f"unsupported mesh header {' '.join(header)!r}")
         mode = f.readline().split()[1]
         box = tuple(float(v) for v in f.readline().split()[1:])
         n_slabs = int(f.readline().split()[1])
-        cls = f.readline().split()[1]
+        if header[1] == "1":
+            f.readline()  # classified
         nv = int(f.readline().split()[1])
-        verts = np.loadtxt(io.StringIO("".join(f.readline() for _ in range(nv))),
-                           ndmin=2)
+        verts = np.loadtxt(f, max_rows=nv, ndmin=2)
         ne = int(f.readline().split()[1])
-        rows = np.loadtxt(io.StringIO("".join(f.readline() for _ in range(ne))),
-                          dtype=np.int64, ndmin=2)
+        rows = np.loadtxt(f, dtype=np.int64, max_rows=ne, ndmin=2)
         nb = int(f.readline().split()[1])
         side = {}
         for _ in range(nb):
@@ -565,8 +513,5 @@ def read_mesh(path_or_stream):
     finally:
         if own:
             f.close()
-    mesh = SpaceTimeMesh(verts, rows[:, :3], rows[:, 3], side, mode, box,
+    return SpaceTimeMesh(verts, rows[:, :3], rows[:, 3], side, mode, box,
                          n_slabs=n_slabs)
-    if cls != "none":
-        classify_boundary(mesh, () if cls == "-" else tuple(cls.split(",")))
-    return mesh

@@ -154,17 +154,15 @@ def write_matrix_market(path, M):
             A = validate_csr(M).tocoo()
             f.write("%%MatrixMarket matrix coordinate real general\n")
             f.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-            for i, j, v in zip(A.row, A.col, A.data):
-                f.write("%d %d %.17g\n" % (i + 1, j + 1, v))
+            np.savetxt(f, np.column_stack([A.row + 1, A.col + 1, A.data]),
+                       fmt="%d %d %.17g")
         else:
             arr = np.atleast_2d(np.asarray(M, dtype=float))
             if arr.shape[0] == 1 and np.asarray(M).ndim == 1:
                 arr = arr.T
             f.write("%%MatrixMarket matrix array real general\n")
             f.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-            for j in range(arr.shape[1]):  # column-major per the format
-                for i in range(arr.shape[0]):
-                    f.write("%.17g\n" % arr[i, j])
+            np.savetxt(f, arr.ravel(order="F"), fmt="%.17g")  # column-major
 
 
 def read_matrix_market(path):
@@ -182,17 +180,14 @@ def read_matrix_market(path):
         line = f.readline()
         while line.startswith("%"):
             line = f.readline()
-        dims = line.split()
-        if kind == "coordinate":
-            nr, nc, nnz = int(dims[0]), int(dims[1]), int(dims[2])
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            vals = np.empty(nnz)
-            for k in range(nnz):
-                i, j, v = f.readline().split()
-                rows[k], cols[k], vals[k] = int(i) - 1, int(j) - 1, float(v)
-            return validate_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nr, nc)))
-        nr, nc = int(dims[0]), int(dims[1])
-        vals = np.array([float(f.readline()) for _ in range(nr * nc)])
-        arr = vals.reshape(nc, nr).T
-        return arr[:, 0] if nc == 1 else arr
+        dims = [int(d) for d in line.split()]
+        nr, nc = dims[:2]
+        n, width = (dims[2], 3) if kind == "coordinate" else (nr * nc, 1)
+        # loadtxt warns on no rows and returns shape (0, 1)
+        data = np.loadtxt(f, max_rows=n, ndmin=2) if n else np.empty((0, width))
+    if kind == "coordinate":
+        ij = data[:, :2].astype(np.int64) - 1
+        return validate_csr(sp.coo_matrix((data[:, 2], (ij[:, 0], ij[:, 1])),
+                                          shape=(nr, nc)))
+    arr = data.reshape(nc, nr).T
+    return arr[:, 0] if nc == 1 else arr

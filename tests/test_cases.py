@@ -11,7 +11,7 @@ import pytest
 
 from sthdg.cases import (build_case_mesh, case_by_name, make_layer1d,
                          make_polyexact, make_pulse1d, trace_neumann)
-from sthdg.mesh import TAG_NEUMANN
+from sthdg.mesh import SIDE_NAMES
 
 
 def cstep(f, pts, comp, h=1e-30):
@@ -95,7 +95,7 @@ def test_initial_surface_neumann_data_equals_solution():
     """On the t=0 surface the flux trace reduces to u itself."""
     case = make_pulse1d(1e-2)
     mesh = build_case_mesh(case, 6, 3, mode="all_at_once")
-    fids = mesh.boundary_facets(TAG_NEUMANN)
+    fids = np.nonzero(mesh.boundary_sides == SIDE_NAMES.index("tmin"))[0]
     mids = mesh.facet_midpoints()[fids]
     normals = mesh.facet_normals[fids, 0]
     gn = case.prob.neumann(mids, normals)

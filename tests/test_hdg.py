@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sthdg.cases import build_case_mesh, make_polyexact, make_pulse1d
-from sthdg.hdg import (assemble_blocks, condense, default_penalty,
+from sthdg.hdg import (ProblemSpec, assemble_blocks, condense, default_penalty,
                        lambda_dof_positions, line_trace_evaluator, project,
                        reconstruct, st_l2_error)
-from sthdg.mesh import build_st_mesh, classify_boundary
+from sthdg.mesh import build_st_mesh, extract_slab
+from sthdg.solving import solve_problem
 from sthdg.sparsela import DenseLU
 
 
@@ -22,11 +25,30 @@ def test_default_penalty():
     assert default_penalty(3) == 90
 
 
-def test_assemble_requires_classified_boundary():
-    mesh = build_st_mesh(2, 2, box=(0, 1, -0.5, 0.5), mode="all_at_once")
-    case = make_polyexact(1, 0.05)
-    with pytest.raises(ValueError):
-        assemble_blocks(mesh, 1, case.prob)
+def test_neumann_sides_only_spatial():
+    ProblemSpec(nu=0, neumann_sides=("xlo", "xhi"))
+    with pytest.raises(ValueError, match="neumann_sides may only name spatial sides"):
+        ProblemSpec(nu=0, neumann_sides=("tmin",))
+
+
+@pytest.mark.parametrize("mode", ["all_at_once", "slab"])
+@pytest.mark.parametrize("ns", [(), ("xlo",), ("xlo", "xhi")])
+def test_problem_neumann_sides_couple_on_any_mesh(mode, ns):
+    """The problem, not the mesh, decides which spatial sides are Neumann:
+    each named side couples the traces of its facets, 6 on the 6 x 6 mesh
+    and 1 on each of its slabs, at 3 unknowns per facet."""
+    case = make_polyexact(2, nu=0.05)
+    prob = replace(case.prob, neumann_sides=ns)
+    mesh = build_case_mesh(case, 6, 6, mode=mode)
+    if mode == "all_at_once":
+        assert assemble_blocks(mesh, 2, prob).n_lambda == 324 + 18 * len(ns)
+    else:
+        slab = extract_slab(mesh, 0)[0]
+        assert assemble_blocks(slab, 2, prob).n_lambda == 69 + 3 * len(ns)
+    sol = solve_problem(mesh, 2, prob)
+    err = (sol.error(2, prob.exact) if mode == "slab"
+           else st_l2_error(mesh, 2, sol.U, prob.exact))
+    assert err < 1e-10
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -56,8 +78,7 @@ def test_schur_matches_monolithic(p):
 
 
 def test_projection_reproduces_polynomials():
-    mesh = classify_boundary(build_st_mesh(3, 3, box=(0, 1, -0.5, 0.5),
-                                           mode="all_at_once"))
+    mesh = build_st_mesh(3, 3, box=(0, 1, -0.5, 0.5), mode="all_at_once")
     f = lambda pts: 1.0 + 2.0 * pts[:, 0] - pts[:, 1] + pts[:, 0] * pts[:, 1]
     U = project(mesh, 2, f)
     assert st_l2_error(mesh, 2, U, f) < 1e-13
@@ -65,8 +86,7 @@ def test_projection_reproduces_polynomials():
 
 def test_st_l2_error_of_known_gap():
     # distance between u=1 and u=0 over a unit-area space-time box is 1
-    mesh = classify_boundary(build_st_mesh(2, 2, box=(0, 1, 0, 1),
-                                           mode="all_at_once"))
+    mesh = build_st_mesh(2, 2, box=(0, 1, 0, 1), mode="all_at_once")
     U = project(mesh, 1, lambda pts: np.ones(len(pts)))
     err = st_l2_error(mesh, 1, U, lambda pts: np.zeros(len(pts)))
     assert np.isclose(err, 1.0, atol=1e-12)

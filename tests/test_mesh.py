@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sthdg.mesh import (SIDE_NAMES, DeformationMap,
-                        SpaceTimeMesh, TAG_DIRICHLET, TAG_FINAL, TAG_NEUMANN,
-                        bisect_refine, build_st_mesh,
-                        classify_boundary, deform_mesh, extract_slab,
-                        read_mesh, validate_mesh, write_mesh)
+from sthdg.mesh import (SIDE_NAMES, DeformationMap, SpaceTimeMesh,
+                        bisect_refine, build_st_mesh, deform_mesh,
+                        extract_slab, read_mesh, validate_mesh, write_mesh)
 
 
 def make(nx=4, nt=3, mode="all_at_once"):
     return build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode=mode)
+
+
+def on_side(m, name):
+    """Indices of the boundary facets labeled ``name``."""
+    return np.nonzero(m.boundary_sides == SIDE_NAMES.index(name))[0]
 
 
 def test_uniform_mesh_counts_and_validity():
@@ -29,49 +32,42 @@ def test_no_characteristic_facets_on_uniform_mesh():
     assert np.abs(an).min() > 0.1
 
 
-def test_boundary_classification_tags():
-    m = classify_boundary(make(4, 4))
+def test_boundary_side_labels():
+    m = make(4, 4)
     mids = m.facet_midpoints()
-    for tag, expect in ((TAG_NEUMANN, 0.0), (TAG_FINAL, 1.0)):
-        f = m.boundary_facets(tag)
+    for name, expect in (("tmin", 0.0), ("tmax", 1.0)):
+        f = on_side(m, name)
         assert len(f) == 4
         assert np.allclose(mids[f][:, 0], expect)
-    xd = mids[m.boundary_facets(TAG_DIRICHLET)][:, 1]
+    xd = mids[np.concatenate([on_side(m, "xlo"), on_side(m, "xhi")])][:, 1]
     assert np.all(np.isin(np.round(xd, 12), [-0.5, 0.5]))
 
 
-def test_neumann_sides_only_spatial():
-    m = make(3, 3)
-    classify_boundary(m, neumann_sides=("xlo",))
-    with pytest.raises(ValueError):
-        classify_boundary(m, neumann_sides=("tmin",))
-
-
 def test_deformation_fixes_time_boundaries():
-    m = classify_boundary(make(5, 5))
+    m = make(5, 5)
     d = deform_mesh(m, DeformationMap())
     validate_mesh(d)
     onboundary = np.isin(m.vertices[:, 0], [0.0, 1.0])
     assert np.allclose(d.vertices[onboundary], m.vertices[onboundary])
     assert not np.allclose(d.vertices, m.vertices)
-    # classification survives the deformation
-    assert len(d.boundary_facets(TAG_NEUMANN)) == 5
+    # side labels survive the deformation
+    assert len(on_side(d, "tmin")) == 5
 
 
 def test_bisect_refine_conforming_and_deterministic():
-    m = classify_boundary(make(4, 4))
+    m = make(4, 4)
     r1 = bisect_refine(m, [0, 5, 9])
     r2 = bisect_refine(m, np.array([0, 5, 9]))
     validate_mesh(r1)
     assert r1.n_elements > m.n_elements
     assert np.array_equal(r1.elements, r2.elements)
     assert np.allclose(r1.vertices, r2.vertices)
-    # refinement preserves the boundary classification
-    assert len(r1.boundary_facets(TAG_FINAL)) >= 4
+    # refinement preserves the side labels
+    assert len(on_side(r1, "tmax")) >= 4
 
 
 def test_repeated_refinement_stays_valid():
-    m = classify_boundary(make(3, 3))
+    m = make(3, 3)
     rng = np.random.default_rng(0)
     for _ in range(4):
         marked = rng.choice(m.n_elements, size=max(1, m.n_elements // 6),
@@ -83,7 +79,7 @@ def test_repeated_refinement_stays_valid():
 
 
 def test_extract_slab_partitions_elements():
-    m = classify_boundary(make(4, 3, mode="slab"))
+    m = make(4, 3, mode="slab")
     assert m.n_slabs == 3
     parent_side = dict(zip(map(tuple, m.facets.tolist()), m.boundary_sides))
     seen = []
@@ -93,8 +89,8 @@ def test_extract_slab_partitions_elements():
         assert sub.n_elements == 2 * 4
         seen.extend(elem_ids.tolist())
         # slab interfaces become inflow-like / final surfaces of the slab
-        assert len(sub.boundary_facets(TAG_NEUMANN)) == 4
-        assert len(sub.boundary_facets(TAG_FINAL)) == 4
+        assert len(on_side(sub, "tmin")) == 4
+        assert len(on_side(sub, "tmax")) == 4
         t = sub.vertices[:, 0]
         sides = sub.boundary_sides
         assert np.all(t[sub.facets[sides == SIDE_NAMES.index("tmin")]] == t.min())
@@ -108,7 +104,7 @@ def test_extract_slab_partitions_elements():
 
 
 def test_mesh_io_roundtrip(tmp_path):
-    m = classify_boundary(make(3, 4, mode="slab"))
+    m = make(3, 4, mode="slab")
     m = bisect_refine(m, [1, 2])
     path = tmp_path / "mesh.txt"
     write_mesh(m, path)
@@ -116,7 +112,54 @@ def test_mesh_io_roundtrip(tmp_path):
     assert np.array_equal(back.elements, m.elements)
     assert np.array_equal(back.vertices, m.vertices)  # bitwise via %.17g
     assert back.mode == m.mode and back.n_slabs == m.n_slabs
-    assert np.array_equal(back.boundary_tags, m.boundary_tags)
+    assert np.array_equal(back.boundary_sides, m.boundary_sides)
+
+
+# version 1 files carried a boundary classification line after nslabs
+MESH_V1 = """sthdg-mesh 1
+mode slab
+box 0 1 -0.5 0.5
+nslabs 2
+classified xlo
+vertices 6
+0 -0.5
+0 0.5
+0.5 -0.5
+0.5 0.5
+1 -0.5
+1 0.5
+elements 4
+0 2 1 0
+3 1 2 0
+2 4 3 1
+5 3 4 1
+boundary 6
+0 1 tmin
+0 2 xlo
+1 3 xhi
+2 4 xlo
+3 5 xhi
+4 5 tmax
+"""
+
+
+def test_mesh_io_reads_version_1():
+    m = make(1, 2, mode="slab")
+    back = read_mesh(io.StringIO(MESH_V1))
+    for name in ("vertices", "elements", "slab_index", "boundary_sides"):
+        assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
+    assert back.side_of_edge == m.side_of_edge
+    assert (back.mode, back.box, back.n_slabs) == (m.mode, m.box, m.n_slabs)
+    buf = io.StringIO()
+    write_mesh(back, buf)
+    assert buf.getvalue() == MESH_V1.replace("sthdg-mesh 1", "sthdg-mesh 2") \
+        .replace("classified xlo\n", "")
+
+
+@pytest.mark.parametrize("header", ["sthdg-mesh 3", "sthdg-mesh", "mesh 2"])
+def test_mesh_io_rejects_other_headers(header):
+    with pytest.raises(ValueError):
+        read_mesh(io.StringIO(MESH_V1.replace("sthdg-mesh 1", header)))
 
 
 # -- construction and validation errors ---------------------------------
@@ -192,8 +235,7 @@ def test_validate_mesh_rejects_open_element():
 def random_meshes(draw):
     nx, nt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     mode = draw(st.sampled_from(["all_at_once", "slab"]))
-    m = classify_boundary(make(nx, nt, mode=mode),
-                          draw(st.sampled_from([(), ("xlo",), ("xlo", "xhi")])))
+    m = make(nx, nt, mode=mode)
     if draw(st.booleans()):
         m = deform_mesh(m, DeformationMap(draw(st.floats(0.0, 0.2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -212,11 +254,10 @@ def test_mesh_io_roundtrip_exact(m):
     write_mesh(m, buf)
     buf.seek(0)
     back = read_mesh(buf)
-    for name in ("vertices", "elements", "slab_index", "boundary_tags"):
+    for name in ("vertices", "elements", "slab_index", "boundary_sides"):
         a, b = getattr(back, name), getattr(m, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert back.side_of_edge == m.side_of_edge
     assert sorted(back.side_of_edge.items()) == sorted(m.side_of_edge.items())
-    assert (back.mode, back.box, back.n_slabs, back.neumann_sides) == \
-        (m.mode, m.box, m.n_slabs, m.neumann_sides)
+    assert (back.mode, back.box, back.n_slabs) == (m.mode, m.box, m.n_slabs)

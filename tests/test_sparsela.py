@@ -71,6 +71,27 @@ def test_matrix_market_roundtrip_sparse(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_matrix_market_text(tmp_path):
+    # 1-based coordinates in CSR order; arrays column-major, one value a line
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, sp.csr_matrix(np.array([[0.0, 0.1], [-2.0, 1e300]])))
+    assert path.read_text() == ("%%MatrixMarket matrix coordinate real general\n"
+                                "2 2 3\n1 2 0.10000000000000001\n2 1 -2\n"
+                                "2 2 1.0000000000000001e+300\n")
+    write_matrix_market(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert path.read_text() == ("%%MatrixMarket matrix array real general\n"
+                                "2 2\n1\n3\n2\n4\n")
+
+
+def test_matrix_market_roundtrip_empty(tmp_path):
+    A = sp.csr_matrix((3, 4))
+    path = tmp_path / "empty.mtx"
+    write_matrix_market(path, A)
+    assert path.read_text().splitlines()[1:] == ["3 4 0"]
+    back = read_matrix_market(path)
+    assert back.shape == (3, 4) and back.nnz == 0
+
+
 def test_matrix_market_roundtrip_vector(tmp_path):
     v = np.array([1.0, -2.5, 3e-17, 0.1])
     path = tmp_path / "v.mtx"

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import _facet_side_groups, assemble_blocks
 from sthdg.mesh import (SIDE_NAMES, DeformationMap, _hanging_pairs,
-                        bisect_refine, build_st_mesh, classify_boundary,
-                        deform_mesh, extract_slab, validate_mesh)
+                        bisect_refine, build_st_mesh, deform_mesh,
+                        extract_slab, validate_mesh)
 from sthdg.sparsela import validate_csr
 
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -188,13 +188,13 @@ def test_build_st_mesh_matches_loop(nx, nt):
         [p[:, 0] + 0.05 * np.sin(3.0 * p[:, 1]), p[:, 1] ** 3 + p[:, 1]], axis=1)),
 ])
 def test_deformed_mesh_matches_loop(mapping):
-    mesh = deform_mesh(classify_boundary(build_st_mesh(7, 5)), mapping)
+    mesh = deform_mesh(build_st_mesh(7, 5), mapping)
     assert_connectivity_matches_loop(mesh)
     validate_mesh(mesh)
 
 
 def test_every_slab_matches_loop():
-    mesh = classify_boundary(build_st_mesh(6, 5, mode="slab"), ("xhi",))
+    mesh = build_st_mesh(6, 5, mode="slab")
     mesh = bisect_refine(mesh, [0, 13, 29, 44])
     for n in range(mesh.n_slabs):
         sub, _, _ = extract_slab(mesh, n)
@@ -206,7 +206,7 @@ def test_every_slab_matches_loop():
 @given(nx=st.integers(1, 4), nt=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        rounds=st.integers(1, 4))
 def test_random_bisection_matches_loop_and_stays_conforming(nx, nt, seed, rounds):
-    mesh = classify_boundary(build_st_mesh(nx, nt))
+    mesh = build_st_mesh(nx, nt)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         size = int(rng.integers(1, mesh.n_elements + 1))
@@ -237,8 +237,7 @@ def hanging_pairs_loop(vertices, facets, tol, scale):
 @given(nx=st.integers(1, 5), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([1e-12, 1e-6, 1e-3]))
 def test_hanging_pairs_match_loop(nx, nt, seed, tol):
-    mesh = deform_mesh(classify_boundary(build_st_mesh(nx, nt)),
-                       DeformationMap(0.1))
+    mesh = deform_mesh(build_st_mesh(nx, nt), DeformationMap(0.1))
     rng = np.random.default_rng(seed)
     mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=2, replace=False))
     scale = max(abs(v) for v in mesh.box) + 1.0
@@ -294,7 +293,7 @@ def test_facet_side_groups_match_loop():
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_facet_side_groups_match_loop_on_refined_meshes(seed):
-    mesh = classify_boundary(build_st_mesh(3, 3))
+    mesh = build_st_mesh(3, 3)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=4, replace=False))
