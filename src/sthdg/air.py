@@ -16,7 +16,8 @@ V(0,1): restrict the residual, correct, then one post-relaxation sweep
 Strength of connection is decided once per level: one pass over the
 level's matrix yields the graph for the coarsening threshold theta_c and
 the one for the restriction threshold theta_r, and each setup step takes
-the graph it reads.
+the graph it reads.  The CF splitting is a plain ``int8`` label vector,
+``C_POINT`` or ``F_POINT`` per row; the steps derive what else they need.
 
 Also provides the block topological ordering used to expose the lower
 block-triangular structure of purely advective facet systems, and the
@@ -37,12 +38,11 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .sparsela import DenseLU, csr_gather, spgemm, validate_csr
+from .sparsela import DenseLU, csr_gather, validate_csr
 
 __all__ = [
     "AirParams",
     "AirSetupError",
-    "CFSplitting",
     "TopologicalOrder",
     "strength_graph",
     "rs_coarsen",
@@ -62,28 +62,6 @@ C_POINT = 1
 
 class AirSetupError(RuntimeError):
     """Setup cannot continue (e.g. coarsening stagnated on a large level)."""
-
-
-@dataclass
-class CFSplitting:
-    labels: np.ndarray  # C_POINT / F_POINT per row
-    coarse_index: np.ndarray  # position among C-points, -1 for F
-
-    @property
-    def n(self):
-        return len(self.labels)
-
-    @property
-    def n_coarse(self):
-        return int(np.count_nonzero(self.labels == C_POINT))
-
-    @property
-    def c_points(self):
-        return np.nonzero(self.labels == C_POINT)[0]
-
-    @property
-    def f_points(self):
-        return np.nonzero(self.labels == F_POINT)[0]
 
 
 def strength_graph(A, *thetas):
@@ -110,8 +88,9 @@ def strength_graph(A, *thetas):
     return graphs
 
 
-def rs_coarsen(S) -> CFSplitting:
-    """Classical Ruge-Stuben CF splitting on a CSR strength graph ``S``.
+def rs_coarsen(S):
+    """Classical Ruge-Stuben CF splitting on a CSR strength graph ``S``,
+    returned as the ``int8`` label vector (``C_POINT``/``F_POINT`` per row).
 
     The measure of a point is the number of points that strongly depend
     on it.  The splitting repeatedly makes C the undecided point with the
@@ -159,29 +138,26 @@ def rs_coarsen(S) -> CFSplitting:
                     m = measure[j] + 1
                     measure[j] = m
                     heappush(heap, j - m * n)
-    labels = np.array(state, dtype=np.int8)
-    coarse_index = np.full(n, -1, dtype=np.int64)
-    cpts = np.nonzero(labels)[0]
-    coarse_index[cpts] = np.arange(len(cpts))
-    return CFSplitting(labels=labels, coarse_index=coarse_index)
+    return np.array(state, dtype=np.int8)
 
 
-def lair_restriction(A, cf, gR):
-    """Distance-one local AIR restriction (nc x n).
+def lair_restriction(A, labels, gR):
+    """Distance-one local AIR restriction, as ``(R, fallbacks)``.
 
-    Each C-point row solves a small transposed neighborhood system so
-    that (R A) vanishes on the strong F-neighborhood of the C-point, its
-    F-neighbors in the restriction strength graph ``gR``.  ``A`` must be
-    canonical CSR (see :func:`~sthdg.sparsela.validate_csr`).  The
-    systems of all C-points with one neighborhood size are solved stacked;
-    only if that raises (a member is exactly singular) is each solved
-    alone, singular ones by least squares (``fallbacks`` on the result).
+    Each C-point of the label vector ``labels`` gets a row of R (nc x n)
+    that solves a small transposed neighborhood system so that (R A)
+    vanishes on the strong F-neighborhood of the C-point, its F-neighbors
+    in the restriction strength graph ``gR``.  ``A`` must be canonical
+    CSR (see :func:`~sthdg.sparsela.validate_csr`).  The systems of all
+    C-points with one neighborhood size are solved stacked; only if that
+    raises (a member is exactly singular) is each solved alone, singular
+    ones by least squares; ``fallbacks`` counts those.
     """
-    cpts = cf.c_points
+    cpts = np.flatnonzero(labels == C_POINT)
     nc = len(cpts)
     # strong F-neighbors of every C-point, concatenated row by row
     gC = gR[cpts]
-    isf = cf.labels[gC.indices] == F_POINT
+    isf = labels[gC.indices] == F_POINT
     owner = np.repeat(np.arange(nc), np.diff(gC.indptr))[isf]
     nbr = gC.indices[isf]
     size = np.bincount(owner, minlength=nc)
@@ -208,15 +184,13 @@ def lair_restriction(A, cf, gR):
     cols = np.concatenate([nbr, cpts])
     vals = np.concatenate([w, np.ones(nc)])
     R = validate_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nc, A.shape[0])))
-    R.fallbacks = fallbacks
-    return R
+    return R, fallbacks
 
 
-def one_point_interpolation(cf, S):
-    """Each F-point interpolates from its strongest C-neighbor in the
-    strength graph ``S`` (n x nc)."""
+def one_point_interpolation(labels, S):
+    """Each F-point of the label vector ``labels`` interpolates from its
+    strongest C-neighbor in the strength graph ``S`` (n x nc)."""
     n = S.shape[0]
-    labels = cf.labels
     si, sd = S.indices, np.abs(S.data)
     rows = np.repeat(np.arange(n), np.diff(S.indptr))
     # per-entry weight; non-C neighbors can never win
@@ -230,8 +204,10 @@ def one_point_interpolation(cf, S):
     # C-points map to themselves; isolated F-points (best == n) get no entry
     src = np.where(labels == C_POINT, np.arange(n), best)
     ip = np.nonzero(src < n)[0]
-    P = sp.csr_matrix((np.ones(len(ip)), (ip, cf.coarse_index[src[ip]])),
-                      shape=(n, cf.n_coarse))
+    # position among the C-points (C_POINT is 1, F_POINT 0), read at C only
+    coarse_index = np.cumsum(labels, dtype=np.int64) - 1
+    P = sp.csr_matrix((np.ones(len(ip)), (ip, coarse_index[src[ip]])),
+                      shape=(n, np.count_nonzero(labels == C_POINT)))
     return validate_csr(P)
 
 
@@ -250,8 +226,8 @@ def ideal_restriction_dense(A, labels):
 
 
 def galerkin_coarse(R, A, P):
-    """Exact triple product R A P (no dropping)."""
-    return spgemm(spgemm(R, A), P)
+    """Exact triple product R A P (no dropping), canonical CSR."""
+    return validate_csr(validate_csr(R @ A) @ P)
 
 
 @dataclass
@@ -268,7 +244,6 @@ class TopologicalOrder:
     order: np.ndarray
     complete: bool
     cycle_blocks: np.ndarray
-    block_size: int
 
 
 def topological_block_order(A, block_size=1):
@@ -323,8 +298,7 @@ def topological_block_order(A, block_size=1):
                 heapq.heappush(heap, (first[d], d))
     return TopologicalOrder(order=np.asarray(order, dtype=np.int64),
                             complete=complete,
-                            cycle_blocks=cycle_blocks,
-                            block_size=b)
+                            cycle_blocks=cycle_blocks)
 
 
 # -- relaxation ---------------------------------------------------------
@@ -349,27 +323,28 @@ class RelaxationPlan:
       points;
     - ``ordered_block_gs`` (forward block GS in a topological block
       order): the block lower triangle of A[perm][:, perm], applied at
-      ``perm``.
+      ``perm``, from the :class:`TopologicalOrder` kept as ``ordering``
+      (None for the pointwise schemes).
     """
 
-    def __init__(self, A, scheme, cf=None, block_size=1, ordering=None):
+    def __init__(self, A, scheme, labels=None, block_size=1):
         A = validate_csr(A)
         self.A = A
+        self.ordering = None
         every = slice(None)
         if scheme == "jacobi":
             stages = [(every, sp.diags(A.diagonal()), 1)]
         elif scheme == "fgs":
             stages = [(every, sp.tril(A), 1)]
         elif scheme == "f_then_all_fgs":
-            if cf is None:
+            if labels is None:
                 raise ValueError("f_then_all_fgs requires a CF splitting")
-            f = cf.f_points
+            f = np.flatnonzero(labels == F_POINT)
             stages = [(f, sp.tril(A[f][:, f]), 1), (every, sp.tril(A), 1)]
         elif scheme == "ordered_block_gs":
-            if ordering is None:
-                ordering = topological_block_order(A, block_size)
-            b = ordering.block_size
-            perm = (ordering.order[:, None] * b + np.arange(b)).ravel()
+            b = block_size
+            self.ordering = topological_block_order(A, b)
+            perm = (self.ordering.order[:, None] * b + np.arange(b)).ravel()
             coo = A[perm][:, perm].tocoo()
             keep = (coo.row // b) >= (coo.col // b)  # block lower triangle
             M = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
@@ -438,7 +413,7 @@ class AirLevel:
     A: sp.csr_matrix
     R: Optional[sp.csr_matrix]
     P: Optional[sp.csr_matrix]
-    cf: Optional[CFSplitting]
+    labels: Optional[np.ndarray]  # C_POINT / F_POINT per row
     plan: Optional[RelaxationPlan]
 
 
@@ -480,21 +455,21 @@ def build_hierarchy(A, params=None, block_size=1):
     fallbacks = 0
     while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
         g, gR = strength_graph(A, params.theta_c, params.theta_r)
-        cf = rs_coarsen(g)
-        nc = cf.n_coarse
+        labels = rs_coarsen(g)
+        nc = np.count_nonzero(labels == C_POINT)
         if nc == A.shape[0] or nc == 0:
             if A.shape[0] <= 4 * MAX_COARSE:
                 break  # close enough: hand to the dense coarse solver
             raise AirSetupError(
                 f"coarsening stagnated at n={A.shape[0]} (n_coarse={nc})")
-        R = lair_restriction(A, cf, gR)
-        fallbacks += R.fallbacks
-        P = one_point_interpolation(cf, g)
+        R, nfall = lair_restriction(A, labels, gR)
+        fallbacks += nfall
+        P = one_point_interpolation(labels, g)
         bsize = block_size if not levels else 1
-        plan = RelaxationPlan(A, params.relaxation, cf=cf, block_size=bsize)
-        levels.append(AirLevel(A=A, R=R, P=P, cf=cf, plan=plan))
+        plan = RelaxationPlan(A, params.relaxation, labels, bsize)
+        levels.append(AirLevel(A=A, R=R, P=P, labels=labels, plan=plan))
         A = galerkin_coarse(R, A, P)
-    levels.append(AirLevel(A=A, R=None, P=None, cf=None, plan=None))
+    levels.append(AirLevel(A=A, R=None, P=None, labels=None, plan=None))
     return AirHierarchy(levels=levels, coarse_lu=DenseLU(A.toarray()),
                         lair_fallbacks=fallbacks)
 

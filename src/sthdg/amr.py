@@ -19,24 +19,8 @@ from .quadrature import triangle_rule
 _VERTEX_REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class ErrorIndicatorField:
-    """Per-element nonnegative indicators eta_K."""
-
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        if (self.eta < 0).any():
-            raise ValueError("indicators must be nonnegative")
-
-    @property
-    def global_estimate(self):
-        return float(np.sqrt(np.sum(self.eta**2)))
-
-
 def zz_estimate(mesh, U, p):
-    """Recovered-gradient indicator field for a reconstructed solution U.
+    """Recovered-gradient indicators eta_K, one per element, of solution U.
 
     The recovery averages adjacent-element space-time gradients at each
     vertex (area weights) and interpolates them linearly; eta_K is the
@@ -68,14 +52,17 @@ def zz_estimate(mesh, U, p):
     du_q = np.einsum("ei,qid,edc->eqc", coeffs, gref_q, Jinv)
     diff2 = np.sum((grec - du_q) ** 2, axis=2)
     eta2 = np.einsum("q,eq->e", rw, diff2) * detJ
-    return ErrorIndicatorField(np.sqrt(np.maximum(eta2, 0.0)))
+    return np.sqrt(np.maximum(eta2, 0.0))
 
 
-def mark_fixed_fraction(field, fraction):
-    """Ids of the ceil(fraction * n) largest indicators, ties by lowest id."""
+def mark_fixed_fraction(eta, fraction):
+    """Ids of the ceil(fraction * n) largest of the nonnegative indicators
+    ``eta``, ties by lowest id."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    eta = field.eta
+    eta = np.asarray(eta, dtype=float)
+    if (eta < 0).any():
+        raise ValueError("indicators must be nonnegative")
     n = len(eta)
     if n == 0:
         raise ValueError("empty indicator field")
@@ -107,6 +94,7 @@ def amr_loop(case, p, cycles, params=None, *, n0, fraction,
     roundoff: past that point the field is numerical noise and marking
     on it would scatter refinement instead of concentrating it.
     """
+    # imported per call so that wrappers set on these modules see the calls
     from .cases import build_case_mesh
     from .hdg import st_l2_error
     from .solving import solve_problem
@@ -125,9 +113,9 @@ def amr_loop(case, p, cycles, params=None, *, n0, fraction,
         ))
         if cycle == cycles:
             break
-        field = zz_estimate(mesh, sol.U, p)
-        if field.global_estimate <= 1e-10 * (1.0 + np.abs(sol.U).max()):
+        eta = zz_estimate(mesh, sol.U, p)
+        if np.sqrt(np.sum(eta**2)) <= 1e-10 * (1.0 + np.abs(sol.U).max()):
             break
-        marked = mark_fixed_fraction(field, fraction)
+        marked = mark_fixed_fraction(eta, fraction)
         mesh = bisect_refine(mesh, marked)
     return records

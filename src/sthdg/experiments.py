@@ -42,8 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .air import AirParams, RelaxationPlan, rs_coarsen, strength_graph, \
-    topological_block_order
+from .air import AirParams, RelaxationPlan, rs_coarsen, strength_graph
 from .amr import amr_loop
 from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
@@ -435,10 +434,9 @@ def run_ordercheck(cfg):
             cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
             scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
             Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-            order = topological_block_order(Ss, cs.facet_block_size)
             plan = RelaxationPlan(Ss, "ordered_block_gs",
-                                  block_size=cs.facet_block_size,
-                                  ordering=order)
+                                  block_size=cs.facet_block_size)
+            order = plan.ordering
             x = plan.apply(Hs, np.zeros_like(Hs))
             res = np.linalg.norm(Hs - Ss @ x) / np.linalg.norm(Hs)
             rows.append([case.prob.nu, Ss.shape[0], cs.facet_block_size,
@@ -470,9 +468,9 @@ def run_export(cfg):
         bpath = out / "block_size.txt"
         with open(bpath, "w", newline="\n") as fh:
             fh.write(f"{cs.facet_block_size}\n")
-        cf = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
+        labels = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
         pos = lambda_dof_positions(cs)
-        rows = [[i, pos[i, 0], pos[i, 1], "C" if cf.labels[i] else "F"]
+        rows = [[i, pos[i, 0], pos[i, 1], "C" if labels[i] else "F"]
                 for i in range(Ss.shape[0])]
         return [out / "system.mtx", out / "rhs.mtx", bpath,
                 _write_csv(out / "cf_labels.csv", ["row", "t", "x", "label"],

@@ -1,9 +1,9 @@
 """Sparse/dense linear algebra helpers shared by assembly and solvers.
 
 Thin, contract-enforcing wrappers around numpy/scipy: CSR validation and
-entry lookup, block-diagonal CSR construction, products, block-diagonal
-scaling, guarded dense LU, and Matrix Market persistence with
-full-precision (17 significant digit) round-trip.
+entry lookup, block-diagonal CSR construction, block-diagonal scaling,
+guarded dense LU, and Matrix Market persistence with full-precision
+(17 significant digit) round-trip.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "validate_csr",
     "csr_gather",
     "block_diag_csr",
-    "spgemm",
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
     "DenseLU",
@@ -74,14 +73,6 @@ def block_diag_csr(blocks):
     nb, b = blocks.shape[:2]
     return sp.bsr_matrix((blocks, np.arange(nb), np.arange(nb + 1)),
                          shape=(nb * b, nb * b)).tocsr()
-
-
-def spgemm(A, B):
-    """Exact sparse matrix-matrix product in canonical CSR (no dropping)."""
-    C = sp.csr_matrix(A @ B)
-    C.sum_duplicates()
-    C.sort_indices()
-    return C
 
 
 class BlockDiagonalScaling:

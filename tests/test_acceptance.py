@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from sthdg.air import (AirParams, C_POINT, F_POINT, RelaxationPlan,
-                       ideal_restriction_dense, topological_block_order)
+                       ideal_restriction_dense)
 from sthdg.amr import amr_loop
 from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
 from sthdg.experiments import ExperimentConfig, run_converge, run_iterations
@@ -108,9 +108,9 @@ def test_pure_advection_admits_complete_order_and_exact_sweep():
         cs = condense(assemble_blocks(mesh, 1, replace(base.prob, nu=nu)))
         scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
         Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-        order = topological_block_order(Ss, cs.facet_block_size)
         plan = RelaxationPlan(Ss, "ordered_block_gs",
-                              block_size=cs.facet_block_size, ordering=order)
+                              block_size=cs.facet_block_size)
+        order = plan.ordering
         x = plan.apply(Hs, np.zeros_like(Hs))
         res = np.linalg.norm(Hs - Ss @ x) / np.linalg.norm(Hs)
         results[nu] = (order, res)

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sthdg.air import (MAX_COARSE, AirParams, AirSetupError, C_POINT,
-                       CFSplitting, F_POINT, RelaxationPlan, build_hierarchy,
+                       F_POINT, RelaxationPlan, build_hierarchy,
                        galerkin_coarse, ideal_restriction_dense,
                        lair_restriction, one_point_interpolation,
                        rs_coarsen, strength_graph, topological_block_order,
@@ -13,10 +13,7 @@ from sthdg.air import (MAX_COARSE, AirParams, AirSetupError, C_POINT,
 
 
 def splitting(labels):
-    labels = np.asarray(labels, dtype=np.int8)
-    ci = np.full(len(labels), -1, dtype=np.int64)
-    ci[labels == C_POINT] = np.arange(int((labels == C_POINT).sum()))
-    return CFSplitting(labels=labels, coarse_index=ci)
+    return np.asarray(labels, dtype=np.int8)
 
 
 def upwind_chain(n, eps=0.0):
@@ -40,29 +37,30 @@ def test_strength_graph_thresholds_by_row_maximum():
 
 def test_rs_coarsen_covers_every_point():
     A = upwind_chain(20)
-    cf = rs_coarsen(strength_graph(A, 0.2)[0])
-    assert set(np.unique(cf.labels)) <= {C_POINT, F_POINT}
-    assert cf.n_coarse + len(cf.f_points) == 20
+    labels = rs_coarsen(strength_graph(A, 0.2)[0])
+    assert set(np.unique(labels)) <= {C_POINT, F_POINT}
+    assert (np.count_nonzero(labels == C_POINT)
+            + np.count_nonzero(labels == F_POINT)) == 20
     # every F-point with strong dependencies sees at least one C-point
     S = strength_graph(A, 0.2)[0]
-    for i in cf.f_points:
+    for i in np.flatnonzero(labels == F_POINT):
         deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
         if len(deps):
-            assert np.any(cf.labels[deps] == C_POINT)
+            assert np.any(labels[deps] == C_POINT)
 
 
 def test_rs_coarsen_isolated_points_become_f():
     # diagonal matrix: relaxation alone solves it, nothing to coarsen
     A = sp.identity(12, format="csr")
-    cf = rs_coarsen(strength_graph(A, 0.2)[0])
-    assert cf.n_coarse == 0
+    labels = rs_coarsen(strength_graph(A, 0.2)[0])
+    assert np.count_nonzero(labels == C_POINT) == 0
 
 
 def test_lair_restriction_small_oracle():
     # C = {1}: w solves A_ff^T w = -a_cf^T, here 2 w = -(-1) => w = 0.5
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    cf = splitting([F_POINT, C_POINT])
-    R = lair_restriction(A, cf, strength_graph(A, 0.0)[0])
+    labels = splitting([F_POINT, C_POINT])
+    R, _ = lair_restriction(A, labels, strength_graph(A, 0.0)[0])
     assert np.allclose(R.toarray(), [[0.5, 1.0]])
     P = sp.csr_matrix(np.array([[0.0], [1.0]]))
     assert np.allclose(galerkin_coarse(R, A, P).toarray(), [[1.5]])
@@ -73,13 +71,13 @@ def test_lair_zeroes_strong_f_columns_of_ra():
     n = 30
     A = sp.csr_matrix(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
                       + 4 * np.eye(n))
-    cf = rs_coarsen(strength_graph(A, 0.2)[0])
+    labels = rs_coarsen(strength_graph(A, 0.2)[0])
     gR = strength_graph(A, 0.0)[0]  # theta=0: full F-neighborhoods
-    R = lair_restriction(A, cf, gR)
+    R, _ = lair_restriction(A, labels, gR)
     RA = (R @ A).toarray()
-    for r, i in enumerate(cf.c_points):
+    for r, i in enumerate(np.flatnonzero(labels == C_POINT)):
         nbrs = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        f_nbrs = nbrs[cf.labels[nbrs] == F_POINT]
+        f_nbrs = nbrs[labels[nbrs] == F_POINT]
         assert np.abs(RA[r, f_nbrs]).max() < 1e-10 if len(f_nbrs) else True
 
 
@@ -95,10 +93,10 @@ def test_lair_singular_neighbourhood_falls_back_alone():
     A[6, nbrs[6]] = [-1.0, -0.5]
     A[7, nbrs[7]] = [-0.7, -1.0]
     A[8, nbrs[8]] = [0.6, -1.2]
-    cf = splitting([F_POINT] * 6 + [C_POINT] * 3)
+    labels = splitting([F_POINT] * 6 + [C_POINT] * 3)
     As = sp.csr_matrix(A)
-    R = lair_restriction(As, cf, strength_graph(As, 0.0)[0])
-    assert R.fallbacks == 1
+    R, fallbacks = lair_restriction(As, labels, strength_graph(As, 0.0)[0])
+    assert fallbacks == 1
     Rd = R.toarray()
     RA = Rd @ A
     for r, i in ((1, 7), (2, 8)):
@@ -121,8 +119,9 @@ def test_lair_with_full_neighbourhoods_is_ideal(is_c, seed):
     np.fill_diagonal(A, np.abs(A).sum(axis=1) + 1.0)
     labels = np.where(is_c, C_POINT, F_POINT).astype(np.int8)
     As = sp.csr_matrix(A)
-    R = lair_restriction(As, splitting(labels), strength_graph(As, 0.0)[0])
-    assert R.fallbacks == 0
+    R, fallbacks = lair_restriction(As, splitting(labels),
+                                    strength_graph(As, 0.0)[0])
+    assert fallbacks == 0
     ideal = ideal_restriction_dense(A, labels)
     assert R.shape == ideal.shape
     assert np.abs(R.toarray() - ideal).max(initial=0.0) <= 1e-10
@@ -152,11 +151,12 @@ def test_one_point_interpolation_strongest_then_lowest_index():
                                 [3.0, 0.0, 0.0, 0.0],
                                 [1.0, 0.0, 0.0, 0.0]]))
     g = strength_graph(S, 0.0)[0]
-    cf = splitting([F_POINT, C_POINT, C_POINT, C_POINT])
-    P = one_point_interpolation(cf, g).toarray()
-    assert P[0, cf.coarse_index[1]] == 1.0 and P[0].sum() == 1.0
+    labels = splitting([F_POINT, C_POINT, C_POINT, C_POINT])
+    coarse_index = np.cumsum(labels) - 1  # position among the C-points
+    P = one_point_interpolation(labels, g).toarray()
+    assert P[0, coarse_index[1]] == 1.0 and P[0].sum() == 1.0
     for i in (1, 2, 3):
-        assert P[i, cf.coarse_index[i]] == 1.0
+        assert P[i, coarse_index[i]] == 1.0
 
 
 def test_topological_order_recovers_permuted_triangular():
@@ -219,38 +219,63 @@ def test_topological_order_reports_cycles():
     assert list(order.cycle_blocks) == [0, 1]
 
 
-def test_ordered_block_gs_exact_on_triangular_blocks():
-    rng = np.random.default_rng(12)
-    nb, b = 6, 2
+def permuted_block_triangular(rng, nb, b):
+    """Block lower triangular matrix (nb blocks of size b), its blocks
+    symmetrically permuted."""
     n = nb * b
     dense = np.kron(np.tril(np.ones((nb, nb))), np.ones((b, b)))
     A = dense * rng.standard_normal((n, n))
     A += np.eye(n) * 5
     perm = rng.permutation(nb)
     idx = (perm[:, None] * b + np.arange(b)).ravel()
-    A = sp.csr_matrix(A[np.ix_(idx, idx)])
+    return sp.csr_matrix(A[np.ix_(idx, idx)])
+
+
+def test_ordered_block_gs_exact_on_triangular_blocks():
+    rng = np.random.default_rng(12)
+    nb, b = 6, 2
+    n = nb * b
+    A = permuted_block_triangular(rng, nb, b)
     rhs = rng.standard_normal(n)
     plan = RelaxationPlan(A, "ordered_block_gs", block_size=b)
     x = plan.apply(rhs, np.zeros(n))
     assert np.linalg.norm(rhs - A @ x) < 1e-12 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_ordered_plan_keeps_its_topological_order(b):
+    rng = np.random.default_rng(12)
+    nb = 6
+    n = nb * b
+    A = permuted_block_triangular(rng, nb, b)
+    plan = RelaxationPlan(A, "ordered_block_gs", block_size=b)
+    want = topological_block_order(A, b)
+    assert np.array_equal(plan.ordering.order, want.order)
+    assert plan.ordering.complete and want.complete
+    assert np.array_equal(plan.ordering.cycle_blocks, want.cycle_blocks)
+    rhs = rng.standard_normal(n)
+    x = plan.apply(rhs, np.zeros(n))
+    assert np.linalg.norm(rhs - A @ x) < 1e-12 * np.linalg.norm(rhs)
+    assert RelaxationPlan(A, "fgs").ordering is None
+
+
 def test_f_then_all_sweep_reduces_residual():
     A = upwind_chain(40, eps=0.05)
-    cf = rs_coarsen(strength_graph(A, 0.2)[0])
+    labels = rs_coarsen(strength_graph(A, 0.2)[0])
     rng = np.random.default_rng(13)
     b = rng.standard_normal(40)
-    x = RelaxationPlan(A, "f_then_all_fgs", cf=cf).apply(b, np.zeros(40))
+    plan = RelaxationPlan(A, "f_then_all_fgs", labels=labels)
+    x = plan.apply(b, np.zeros(40))
     assert np.linalg.norm(b - A @ x) < 0.5 * np.linalg.norm(b)
 
 
-def _dense_sweep(A, b, x, scheme, cf, block_size):
+def _dense_sweep(A, b, x, scheme, labels, block_size):
     """x + M^{-1} (b - A x) with each scheme's M built densely."""
     x = x.copy()
     if scheme == "jacobi":
         return x + (b - A @ x) / np.diag(A)
     if scheme == "f_then_all_fgs":
-        f = cf.f_points
+        f = np.flatnonzero(labels == F_POINT)
         x[f] += scipy.linalg.solve_triangular(
             np.tril(A[np.ix_(f, f)]), (b - A @ x)[f], lower=True)
     if scheme in ("fgs", "f_then_all_fgs"):
@@ -273,15 +298,15 @@ def test_relaxation_sweep_matches_dense_oracle(scheme, block_size):
     n = 36
     A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
     A += np.diag(rng.random(n) + 2.0)
-    cf = rs_coarsen(strength_graph(sp.csr_matrix(A), 0.2)[0])
+    labels = rs_coarsen(strength_graph(sp.csr_matrix(A), 0.2)[0])
     b = rng.standard_normal(n)
     x = rng.standard_normal(n)
-    plan = RelaxationPlan(sp.csr_matrix(A), scheme, cf=cf,
+    plan = RelaxationPlan(sp.csr_matrix(A), scheme, labels=labels,
                           block_size=block_size)
     x0 = x.copy()
     got = plan.apply(b, x)
     assert np.array_equal(x, x0)  # apply returns a new array
-    want = _dense_sweep(A, b, x, scheme, cf, block_size)
+    want = _dense_sweep(A, b, x, scheme, labels, block_size)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

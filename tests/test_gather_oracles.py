@@ -9,8 +9,8 @@ versions they replaced are kept here as oracles, and the new code must
 reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
 fallback count.  ``rs_coarsen`` keys its heap with plain ints; the
 numpy-scalar heap loop with ``(-measure, i)`` tuples, a stale-entry
-test and a second pass is kept as its oracle, and the labels and coarse
-indices must match it bitwise.  ``strength_graph`` builds the graphs of
+test and a second pass is kept as its oracle, and the label vectors
+must match it bitwise.  ``strength_graph`` builds the graphs of
 several thresholds in one pass; each must equal its single-threshold
 graph, and a hierarchy built from the oracles, one graph per call, must
 equal ``build_hierarchy``'s level by level.
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS, AirParams,
-                       CFSplitting, build_hierarchy, galerkin_coarse,
+                       build_hierarchy, galerkin_coarse,
                        lair_restriction, one_point_interpolation, rs_coarsen,
                        strength_graph)
 from sthdg.cases import build_case_mesh, case_by_name
@@ -56,11 +56,10 @@ def strength_graph_loop(A, theta):
     return G
 
 
-def lair_restriction_loop(A, cf, theta=0.3):
+def lair_restriction_loop(A, labels, theta=0.3):
     A = validate_csr(A)
     gR = strength_graph_loop(A, theta)
-    labels = cf.labels
-    cpts = cf.c_points
+    cpts = np.nonzero(labels == C_POINT)[0]
     ap, ai, ad = A.indptr, A.indices, A.data
 
     def _row_at(row, cols):
@@ -92,9 +91,7 @@ def lair_restriction_loop(A, cf, theta=0.3):
         cols.append(i)
         vals.append(1.0)
     R = sp.csr_matrix((vals, (rows, cols)), shape=(len(cpts), A.shape[0]))
-    R = validate_csr(R)
-    R.fallbacks = fallbacks
-    return R
+    return validate_csr(R), fallbacks
 
 
 def _rs_first_pass_loop(S):
@@ -135,16 +132,14 @@ def _rs_coarsen_loop(S):
         deps = S.indices[S.indptr[i]:S.indptr[i + 1]]
         if len(deps) and not np.any(state[deps] == C_POINT):
             state[i] = C_POINT
-    labels = (state == C_POINT).astype(np.int8)
+    return (state == C_POINT).astype(np.int8)
+
+
+def one_point_interpolation_loop(labels, S):
+    n = S.shape[0]
     coarse_index = np.full(n, -1, dtype=np.int64)
     cpts = np.nonzero(labels)[0]
     coarse_index[cpts] = np.arange(len(cpts))
-    return CFSplitting(labels=labels, coarse_index=coarse_index)
-
-
-def one_point_interpolation_loop(cf, S):
-    n = S.shape[0]
-    labels = cf.labels
     si, sd = S.indices, np.abs(S.data)
     counts = np.diff(S.indptr)
     nonempty = counts > 0
@@ -162,29 +157,30 @@ def one_point_interpolation_loop(cf, S):
     for i in range(n):
         if labels[i] == C_POINT:
             rows.append(i)
-            cols.append(cf.coarse_index[i])
+            cols.append(coarse_index[i])
         elif best[i] < n:
             rows.append(i)
-            cols.append(cf.coarse_index[best[i]])
+            cols.append(coarse_index[best[i]])
     P = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                      shape=(n, cf.n_coarse))
+                      shape=(n, len(cpts)))
     return validate_csr(P)
 
 
 def hierarchy_loop(A, theta_c, theta_r):
-    """``build_hierarchy``'s levels ``(A, R, P, cf)`` from the oracles, with
-    each strength graph built on its own, and the lAIR fallback total."""
+    """``build_hierarchy``'s levels ``(A, R, P, labels)`` from the oracles,
+    with each strength graph built on its own, and the lAIR fallback
+    total."""
     A = validate_csr(A)
     levels, fallbacks = [], 0
     while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
         g = strength_graph_loop(A, theta_c)
-        cf = _rs_coarsen_loop(g)
-        if cf.n_coarse in (0, A.shape[0]):
+        labels = _rs_coarsen_loop(g)
+        if np.count_nonzero(labels) in (0, A.shape[0]):
             break
-        R = lair_restriction_loop(A, cf, theta_r)
-        fallbacks += R.fallbacks
-        P = one_point_interpolation_loop(cf, g)
-        levels.append((A, R, P, cf))
+        R, nfall = lair_restriction_loop(A, labels, theta_r)
+        fallbacks += nfall
+        P = one_point_interpolation_loop(labels, g)
+        levels.append((A, R, P, labels))
         A = galerkin_coarse(R, A, P)
     levels.append((A, None, None, None))
     return levels, fallbacks
@@ -203,10 +199,7 @@ def diagonal_blocks_loop(A, b):
 
 
 def splitting(labels):
-    labels = np.asarray(labels, dtype=np.int8)
-    ci = np.full(len(labels), -1, dtype=np.int64)
-    ci[labels == C_POINT] = np.arange(int((labels == C_POINT).sum()))
-    return CFSplitting(labels=labels, coarse_index=ci)
+    return np.asarray(labels, dtype=np.int8)
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +245,8 @@ def random_cases():
         cases.append((f"random{seed}", A, splitting(labels)))
     zero = validate_csr(sp.csr_matrix((12, 12)))
     cases.append(("all_zero", zero, splitting(np.arange(12) % 2)))
-    A, cf = singular_neighbourhood()
-    cases.append(("singular", A, cf))
+    A, labels = singular_neighbourhood()
+    cases.append(("singular", A, labels))
     return cases
 
 
@@ -262,7 +255,7 @@ def pulse_levels():
     for nu in (1e-6, 1e-1):
         h = pulse_system(nu)[2]
         for k, lev in enumerate(h.levels):
-            out.append((f"nu{nu:g}-L{k}", lev.A, lev.cf))
+            out.append((f"nu{nu:g}-L{k}", lev.A, lev.labels))
     return out
 
 
@@ -317,10 +310,8 @@ def assert_csr_bitwise(new, old):
 
 
 def assert_cf_bitwise(new, old):
-    for name in ("labels", "coarse_index"):
-        a, b = getattr(new, name), getattr(old, name)
-        assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
+    assert new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
 
 
 def assert_f_points_see_c(S, labels):
@@ -348,10 +339,11 @@ def test_lair_restriction_matches_loop(name, A, cf):
     if cf is None:  # coarsest level: build a splitting as setup would
         cf = rs_coarsen(strength_graph(A, 0.2)[0])
     for theta in (0.0, 0.3):
-        new = lair_restriction(A, cf, strength_graph(A, theta)[0])
-        old = lair_restriction_loop(A, cf, theta)
+        gR = strength_graph(A, theta)[0]
+        new, new_fallbacks = lair_restriction(A, cf, gR)
+        old, old_fallbacks = lair_restriction_loop(A, cf, theta)
         assert_csr_bitwise(new, old)
-        assert new.fallbacks == old.fallbacks
+        assert new_fallbacks == old_fallbacks
 
 
 @pytest.mark.parametrize("name,A,cf", ALL, ids=[c[0] for c in ALL])
@@ -389,16 +381,16 @@ def test_hierarchy_matches_loop_oracles_on_pulse(nu, theta_c, theta_r):
     for lev, (A, R, P, cf) in zip(new.levels, old):
         assert_csr_bitwise(lev.A, A)
         if cf is None:
-            assert lev.cf is None
+            assert lev.labels is None
             continue
         assert_csr_bitwise(lev.R, R)
         assert_csr_bitwise(lev.P, P)
-        assert_cf_bitwise(lev.cf, cf)
+        assert_cf_bitwise(lev.labels, cf)
 
 
 def test_singular_neighbourhood_case_reaches_fallback():
     A, cf = singular_neighbourhood()
-    assert lair_restriction_loop(A, cf).fallbacks == 1
+    assert lair_restriction_loop(A, cf)[1] == 1
 
 
 @pytest.mark.parametrize("nu", [1e-6, 1e-1])
@@ -441,8 +433,8 @@ def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
         g = strength_graph(lev.A, AirParams().theta_c)[0]
         cf = rs_coarsen(g)
         assert_cf_bitwise(cf, _rs_coarsen_loop(g))
-        if lev.cf is not None:
-            assert_cf_bitwise(lev.cf, cf)
+        if lev.labels is not None:
+            assert_cf_bitwise(lev.labels, cf)
 
 
 @pytest.mark.parametrize("nu", [1e-6, 1e-1])
@@ -450,7 +442,7 @@ def test_every_pulse_level_has_c_identity_in_r_and_one_point_p(nu):
     h = pulse_system(nu)[2]
     assert h.n_levels > 2
     for lev in h.levels[:-1]:
-        c = lev.cf.c_points
+        c = np.nonzero(lev.labels == C_POINT)[0]
         assert abs(lev.R[:, c] - sp.identity(len(c))).max() == 0.0
         assert np.all(np.diff(lev.P.indptr) <= 1)
         assert np.all(lev.P.data == 1.0)
@@ -460,7 +452,7 @@ def test_every_pulse_level_has_c_identity_in_r_and_one_point_p(nu):
 def test_rs_coarsen_matches_loop_on_shaped_graphs(name, g):
     cf = rs_coarsen(g)
     assert_cf_bitwise(cf, _rs_coarsen_loop(g))
-    assert_f_points_see_c(g, cf.labels)
+    assert_f_points_see_c(g, cf)
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,10 +460,10 @@ def test_rs_coarsen_matches_loop_on_shaped_graphs(name, g):
 def test_rs_coarsen_matches_loop_on_random_graphs(g):
     cf = rs_coarsen(g)
     assert_cf_bitwise(cf, _rs_coarsen_loop(g))
-    assert set(cf.labels.tolist()) <= {C_POINT, F_POINT}
+    assert set(cf.tolist()) <= {C_POINT, F_POINT}
     isolated = (np.diff(g.indptr) == 0) & (np.diff(g.tocsc().indptr) == 0)
-    assert np.all(cf.labels[isolated] == F_POINT)
-    assert_f_points_see_c(g, cf.labels)
+    assert np.all(cf[isolated] == F_POINT)
+    assert_f_points_see_c(g, cf)
     # the first pass alone already satisfies the invariant, so the
     # oracle's second pass never promotes a point
     assert_f_points_see_c(g, _rs_first_pass_loop(g))

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from sthdg.air import galerkin_coarse
 from sthdg.sparsela import (DenseLU, SingularBlockError,
                             block_diag_inverse_scale, read_matrix_market,
-                            spgemm, validate_csr, write_matrix_market)
+                            validate_csr, write_matrix_market)
 
 
 def random_csr(rng, m, n, density=0.3):
@@ -14,12 +15,14 @@ def random_csr(rng, m, n, density=0.3):
     return sp.csr_matrix(A)
 
 
-def test_spgemm_matches_dense():
+def test_galerkin_coarse_matches_dense():
     rng = np.random.default_rng(1)
-    A = random_csr(rng, 7, 5)
-    B = random_csr(rng, 5, 6)
-    C = spgemm(A, B)
-    assert np.allclose(C.toarray(), A.toarray() @ B.toarray())
+    R = random_csr(rng, 4, 7)
+    A = random_csr(rng, 7, 7)
+    P = random_csr(rng, 7, 5)
+    C = galerkin_coarse(R, A, P)
+    assert C.has_canonical_format
+    assert np.allclose(C.toarray(), R.toarray() @ A.toarray() @ P.toarray())
 
 
 def test_block_scaling_unit_diagonal_blocks():
