@@ -18,7 +18,7 @@ from sthdg.solving import solve_problem
 
 case = make_layer1d()
 
-records = amr_loop(case, 1, cycles=6, n0=8, fraction=0.05, keep_meshes=True)
+records = amr_loop(case, 1, cycles=6, n0=8, fraction=0.05)
 print("adaptive loop:")
 print(f"{'cycle':>5} {'unknowns':>9} {'L2 error':>12} {'median h':>10}")
 for r in records:

@@ -41,7 +41,7 @@ import scipy.sparse.linalg as spla
 from .sparsela import DenseLU, csr_gather, validate_csr
 
 __all__ = [
-    "AirParams",
+    "RELAXATIONS",
     "AirSetupError",
     "TopologicalOrder",
     "strength_graph",
@@ -58,6 +58,9 @@ __all__ = [
 
 F_POINT = 0
 C_POINT = 1
+
+# the relaxation schemes :class:`RelaxationPlan` builds
+RELAXATIONS = ("f_then_all_fgs", "fgs", "jacobi", "ordered_block_gs")
 
 
 class AirSetupError(RuntimeError):
@@ -281,10 +284,10 @@ def topological_block_order(A, block_size=1):
                         (csrc[keep2], cdst[keep2])), shape=(ncomp, ncomp))
     CG.sum_duplicates()
     indeg = np.asarray((CG > 0).sum(axis=0)).ravel()
-    members = [[] for _ in range(ncomp)]
-    for blk in range(nb):
-        members[comp[blk]].append(blk)
-    first = np.array([m[0] for m in members])
+    srt = np.argsort(comp, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    first = srt[starts]
+    members = np.split(srt, starts[1:])
     heap = [(first[c], c) for c in range(ncomp) if indeg[c] == 0]
     heapq.heapify(heap)
     order = []
@@ -402,13 +405,6 @@ MAX_LEVELS = 25
 
 
 @dataclass
-class AirParams:
-    theta_c: float = 0.2  # coarsening strength tolerance
-    theta_r: float = 0.3  # restriction neighborhood tolerance
-    relaxation: str = "f_then_all_fgs"
-
-
-@dataclass
 class AirLevel:
     A: sp.csr_matrix
     R: Optional[sp.csr_matrix]
@@ -440,21 +436,22 @@ class AirHierarchy:
         return lambda r: vcycle(self, r)
 
 
-def build_hierarchy(A, params=None, block_size=1):
+def build_hierarchy(A, theta_c, theta_r, relaxation, block_size):
     """Set up the AIR hierarchy for ``A``.
 
-    ``block_size`` is the relaxation block size on the finest level.
+    ``theta_c`` and ``theta_r`` are the coarsening and restriction
+    strength thresholds, ``relaxation`` names the scheme of every level
+    and ``block_size`` is its block size on the finest level.
     Coarsening stops at ``MAX_COARSE`` rows (dense LU there).  If the CF
     splitting stagnates (all C or all F), the level is sent to the dense
     solver when small enough, otherwise setup fails with
     :class:`AirSetupError`.
     """
-    params = params or AirParams()
     A = validate_csr(A)
     levels = []
     fallbacks = 0
     while A.shape[0] > MAX_COARSE and len(levels) < MAX_LEVELS - 1:
-        g, gR = strength_graph(A, params.theta_c, params.theta_r)
+        g, gR = strength_graph(A, theta_c, theta_r)
         labels = rs_coarsen(g)
         nc = np.count_nonzero(labels == C_POINT)
         if nc == A.shape[0] or nc == 0:
@@ -466,7 +463,7 @@ def build_hierarchy(A, params=None, block_size=1):
         fallbacks += nfall
         P = one_point_interpolation(labels, g)
         bsize = block_size if not levels else 1
-        plan = RelaxationPlan(A, params.relaxation, labels, bsize)
+        plan = RelaxationPlan(A, relaxation, labels, bsize)
         levels.append(AirLevel(A=A, R=R, P=P, labels=labels, plan=plan))
         A = galerkin_coarse(R, A, P)
     levels.append(AirLevel(A=A, R=None, P=None, labels=None, plan=None))

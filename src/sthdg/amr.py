@@ -73,18 +73,18 @@ def mark_fixed_fraction(eta, fraction):
 
 @dataclass(frozen=True)
 class AmrRecord:
-    """One adapt-solve cycle: size, error, solver effort, mesh resolution."""
+    """One adapt-solve cycle: size, error, solver effort, mesh resolution,
+    and the mesh it solved on."""
 
     cycle: int
     n_coupled: int
     l2_error: float
     iterations: int
     median_h: float
-    mesh: object = None
+    mesh: object
 
 
-def amr_loop(case, p, cycles, params=None, *, n0, fraction,
-             keep_meshes=False):
+def amr_loop(case, p, cycles, params=None, *, n0, fraction):
     """Run solve -> estimate -> mark -> refine for `cycles` rounds.
 
     Starts from a uniform n0 x n0 mesh of `case` and returns one
@@ -109,7 +109,7 @@ def amr_loop(case, p, cycles, params=None, *, n0, fraction,
             l2_error=st_l2_error(mesh, p, sol.U, case.prob.exact),
             iterations=int(sol.iterations),
             median_h=float(np.median(mesh.element_h)),
-            mesh=mesh if keep_meshes else None,
+            mesh=mesh,
         ))
         if cycle == cycles:
             break

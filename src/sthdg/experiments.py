@@ -1,8 +1,9 @@
 """Batch experiment drivers emitting deterministic CSV tables.
 
-Every setting is one field of :class:`ExperimentConfig`, and the
-dataclass defaults are the only default table: :func:`defaults_text`
-renders them as the INI file ``sthdg defaults`` prints, and
+Every setting is one field of :class:`ExperimentConfig` or, under
+``[solver]``, of :class:`~sthdg.solving.SolverParams`, and the dataclass
+defaults are the only default table: :func:`defaults_text` renders them
+as the INI file ``sthdg defaults`` prints, and
 :meth:`ExperimentConfig.from_ini` overlays an INI file and then explicit
 overrides, typing both with one parser, so every bad key or value raises
 a :class:`ConfigError` that names it.
@@ -37,12 +38,12 @@ import io
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .air import AirParams, RelaxationPlan, rs_coarsen, strength_graph
+from .air import RELAXATIONS, RelaxationPlan, rs_coarsen, strength_graph
 from .amr import amr_loop
 from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
@@ -58,10 +59,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
 
 _MODES = ("all_at_once", "slab")
 _CASES = ("pulse1d", "layer1d", "polyexact")
-_SCHEMES = ("f_then_all_fgs", "fgs", "jacobi", "ordered_block_gs")
 
-# INI section of every ExperimentConfig field, in the order
-# ``sthdg defaults`` prints them; the defaults are the dataclass's own
+# INI section of every setting, in the order ``sthdg defaults`` prints
+# them; a [solver] key is a SolverParams field, any other an
+# ExperimentConfig field, and the defaults are the dataclasses' own
 _SECTIONS = {
     "case": "experiment", "mode": "experiment", "p": "experiment",
     "nus": "experiment", "ladder": "experiment", "cycles": "experiment",
@@ -122,8 +123,8 @@ def _ini_text(key, value):
 @dataclass
 class ExperimentConfig:
     """Every experiment setting and its default, grouped into INI sections
-    by ``_SECTIONS``; construction validates every value.  The solver
-    defaults are those of :class:`SolverParams` and :class:`AirParams`."""
+    by ``_SECTIONS``; construction validates every value.  ``solver``
+    holds the [solver] settings, which :class:`SolverParams` checks."""
 
     case: str = "pulse1d"
     mode: str = "all_at_once"
@@ -134,12 +135,7 @@ class ExperimentConfig:
     n0: int = 8
     fraction: float = 0.12
     deformed: bool = False
-    tol: float = SolverParams.tol
-    maxiter: int = SolverParams.maxiter
-    relaxation: str = AirParams.relaxation
-    theta_c: float = AirParams.theta_c
-    theta_r: float = AirParams.theta_r
-    scale_blocks: bool = SolverParams.scale_blocks
+    solver: SolverParams = field(default_factory=SolverParams)
     outdir: str = "results"
 
     def __post_init__(self):
@@ -161,28 +157,18 @@ class ExperimentConfig:
         self.nus = tuple(float(v) for v in self.nus)
         if any(nu < 0 for nu in self.nus):
             raise ConfigError("[experiment] nus: viscosities must be >= 0")
-        if not self.tol > 0:
-            raise ConfigError("[solver] tol: must be positive")
-        if self.maxiter < 1:
-            raise ConfigError("[solver] maxiter: must be >= 1")
         if not 0.0 < self.fraction <= 1.0:
             raise ConfigError("[experiment] fraction: must lie in (0, 1]")
-        if self.relaxation not in _SCHEMES:
-            raise ConfigError(
-                f"[solver] relaxation: must be one of {_SCHEMES}")
-        # a strength threshold is a fraction of the row maximum
-        for key in ("theta_c", "theta_r"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ConfigError(f"[solver] {key}: must lie in [0, 1]")
 
     @classmethod
     def from_ini(cls, path=None, overrides=None):
         """The defaults, overlaid by an INI file, then by explicit overrides.
 
-        ``overrides`` maps flat field names (``case``, ``p``, ...) to
+        ``overrides`` maps setting names (``case``, ``tol``, ...) to
         string or already-typed values.  INI values and string overrides
-        are typed by the same parser; an unknown section or key and a
-        value that does not parse raise :class:`ConfigError` naming it.
+        are typed by the same parser; an unknown section or key, a value
+        that does not parse and one that :class:`SolverParams` rejects
+        raise :class:`ConfigError` naming it.
         """
         given = {}
         if path is not None:
@@ -205,30 +191,32 @@ class ExperimentConfig:
             if key not in _SECTIONS:
                 raise ConfigError(f"unknown config override {key!r}")
             given[key] = val
-        defaults = cls()
-        return cls(**{key: _parse(key, val, getattr(defaults, key))
-                      if isinstance(val, str) else val
-                      for key, val in given.items()})
-
-    def solver_params(self, raise_on_failure=True):
-        """The :class:`~sthdg.solving.SolverParams` these settings select."""
-        return SolverParams(
-            tol=self.tol, maxiter=self.maxiter,
-            scale_blocks=self.scale_blocks,
-            air=AirParams(theta_c=self.theta_c, theta_r=self.theta_r,
-                          relaxation=self.relaxation),
-            raise_on_failure=raise_on_failure)
+        solver, other = {}, {}
+        for key, val in given.items():
+            if isinstance(val, str):
+                val = _parse(key, val, _default(key))
+            (solver if _SECTIONS[key] == "solver" else other)[key] = val
+        try:
+            params = SolverParams(**solver)
+        except ValueError as exc:
+            raise ConfigError(f"[solver] {exc}") from exc
+        return cls(solver=params, **other)
 
     def make_case(self, nu):
         return case_by_name(self.case, p=self.p, nu=nu, deformed=self.deformed)
 
 
+def _default(key):
+    """The default value of setting ``key``."""
+    cfg = ExperimentConfig()
+    return getattr(cfg.solver if _SECTIONS[key] == "solver" else cfg, key)
+
+
 def defaults_text():
-    """The :class:`ExperimentConfig` defaults, rendered as a config file."""
+    """The default :class:`ExperimentConfig`, rendered as a config file."""
     sections = {}
-    for f in fields(ExperimentConfig):
-        sections.setdefault(_SECTIONS[f.name], {})[f.name] = \
-            _ini_text(f.name, f.default)
+    for key, sec in _SECTIONS.items():
+        sections.setdefault(sec, {})[key] = _ini_text(key, _default(key))
     cp = configparser.ConfigParser()
     cp.read_dict(sections)
     buf = io.StringIO()
@@ -296,13 +284,12 @@ def _solve_entry(cfg, case, nx, nt, params, stages):
 def run_converge(cfg):
     """Uniform-refinement error table; one row per (nu, ladder entry)."""
     with _frame(cfg) as (out, stages):
-        params = cfg.solver_params()
         rows = []
         for nu in cfg.nus:
             case = cfg.make_case(nu)
             prev = None
             for nx, nt in cfg.ladder:
-                res = _solve_entry(cfg, case, nx, nt, params, stages)
+                res = _solve_entry(cfg, case, nx, nt, cfg.solver, stages)
                 rate = "-" if prev is None else np.log2(prev / res["error"])
                 rows.append([cfg.case, cfg.mode, cfg.p, case.prob.nu, nx, nt,
                              res["elements"], res["dofs"], res["error"], rate])
@@ -318,7 +305,7 @@ def run_iterations(cfg):
         header = ["dofs"]
         grid = {}
         dofs_by_entry = {}
-        params = cfg.solver_params(raise_on_failure=False)
+        params = replace(cfg.solver, raise_on_failure=False)
         for nu in cfg.nus:
             case = cfg.make_case(nu)
             header.append(f"nu={_fmt(case.prob.nu)}")
@@ -345,10 +332,9 @@ def run_stagnation(cfg):
         mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
         cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
         iterates = []
-        params = cfg.solver_params()
-        operator = prepare_operator(cs, params, stages)
+        operator = prepare_operator(cs, cfg.solver, stages)
         sol = solve_condensed(
-            cs, params, operator=operator,
+            cs, cfg.solver, operator=operator,
             callback=lambda x, k: iterates.append((k, x.copy())))
         stages.update(sol.timings)
         resid = dict(sol.report.residuals)
@@ -369,9 +355,8 @@ def run_amr(cfg):
     """Adaptive loop records plus a uniform ladder for comparison."""
     with _frame(cfg) as (out, stages):
         case = cfg.make_case(cfg.nus[0])
-        params = cfg.solver_params()
-        records = amr_loop(case, cfg.p, cfg.cycles, params=params, n0=cfg.n0,
-                           fraction=cfg.fraction)
+        records = amr_loop(case, cfg.p, cfg.cycles, params=cfg.solver,
+                           n0=cfg.n0, fraction=cfg.fraction)
         rows = [[r.cycle, r.n_coupled, r.l2_error, r.iterations, r.median_h]
                 for r in records]
         paths = [_write_csv(out / "amr.csv",
@@ -379,7 +364,7 @@ def run_amr(cfg):
                              "median_h"], rows)]
         urows = []
         for nx, nt in cfg.ladder:
-            res = _solve_entry(cfg, case, nx, nt, params, stages)
+            res = _solve_entry(cfg, case, nx, nt, cfg.solver, stages)
             urows.append([nx, nt, res["dofs"], res["error"],
                           res["sol"].iterations,
                           float(np.median(res["mesh"].element_h))])
@@ -397,12 +382,11 @@ def run_relaxcompare(cfg):
     """
     with _frame(cfg) as (out, _):
         case = cfg.make_case(cfg.nus[0])
-        records = amr_loop(case, cfg.p, cfg.cycles,
-                           params=cfg.solver_params(), n0=cfg.n0,
-                           fraction=cfg.fraction, keep_meshes=True)
-        columns = ([replace(cfg, relaxation=scheme).solver_params(False)
-                    for scheme in _SCHEMES] +
-                   [replace(cfg, scale_blocks=False).solver_params(False)])
+        records = amr_loop(case, cfg.p, cfg.cycles, params=cfg.solver,
+                           n0=cfg.n0, fraction=cfg.fraction)
+        quiet = replace(cfg.solver, raise_on_failure=False)
+        columns = ([replace(quiet, relaxation=s) for s in RELAXATIONS] +
+                   [replace(quiet, scale_blocks=False)])
         rows = []
         for rec in records:
             cs = condense(assemble_blocks(rec.mesh, cfg.p, case.prob))
@@ -413,7 +397,7 @@ def run_relaxcompare(cfg):
                            else "-")
             rows.append(row)
         return [_write_csv(out / "relaxcompare.csv",
-                           ["n_coupled"] + list(_SCHEMES) + ["no_block_inv"],
+                           ["n_coupled"] + list(RELAXATIONS) + ["no_block_inv"],
                            rows)]
 
 
@@ -460,7 +444,7 @@ def run_export(cfg):
         mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
         cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
         Ss, Hs = cs.S, cs.H
-        if cfg.scale_blocks:
+        if cfg.solver.scale_blocks:
             scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
             Ss, Hs = scaling.matrix, scaling.apply(cs.H)
         write_matrix_market(out / "system.mtx", Ss)
@@ -468,7 +452,7 @@ def run_export(cfg):
         bpath = out / "block_size.txt"
         with open(bpath, "w", newline="\n") as fh:
             fh.write(f"{cs.facet_block_size}\n")
-        labels = rs_coarsen(strength_graph(Ss, cfg.theta_c)[0])
+        labels = rs_coarsen(strength_graph(Ss, cfg.solver.theta_c)[0])
         pos = lambda_dof_positions(cs)
         rows = [[i, pos[i, 0], pos[i, 1], "C" if labels[i] else "F"]
                 for i in range(Ss.shape[0])]

@@ -295,24 +295,24 @@ def assemble_blocks(mesh, p, prob):
         # the upwind advective flux couples and extra penalization would
         # degrade even-degree convergence
         coef = (nu * alpha / mesh.element_h[kids])[:, None] * n[:, 1:2] ** 2
-        nx = n[:, 1:2]
         Gxt = np.einsum("qid,md->mqi", TGref, Jinv[kids][:, :, 1])
+        wpl = w2 * (apl + coef)
+        wmi = w2 * (ami - coef)
+        wnx = w2 * n[:, 1:2]
 
-        A_f = _einsum("mq,qj,qi->mij", w2 * (apl + coef), TV, TV)
-        A_f -= nu * _einsum("mq,mqj,qi->mij", w2 * nx, Gxt, TV)
-        A_f -= nu * _einsum("mq,qj,mqi->mij", w2 * nx, TV, Gxt)
+        A_f = _einsum("mq,qj,qi->mij", wpl, TV, TV)
+        A_f -= nu * _einsum("mq,mqj,qi->mij", wnx, Gxt, TV)
+        A_f -= nu * _einsum("mq,qj,mqi->mij", wnx, TV, Gxt)
         np.add.at(elem_A, kids, A_f)
 
         is_dir = on_dirichlet[fids]
         nd = ~is_dir
         if nd.any():
-            wB = (w2 * (ami - coef))[nd]
-            B_f = _einsum("mq,qi,qn->min", wB, TV, psi)
-            B_f += nu * _einsum("mq,mqi,qn->min", (w2 * nx)[nd], Gxt[nd], psi)
+            B_f = _einsum("mq,qi,qn->min", wmi[nd], TV, psi)
+            B_f += nu * _einsum("mq,mqi,qn->min", wnx[nd], Gxt[nd], psi)
             elem_B[kids[nd], locs[nd]] = B_f
-            wC = -(w2 * (apl + coef))[nd]
-            C_f = _einsum("mq,qn,qj->mnj", wC, psi, TV)
-            C_f += nu * _einsum("mq,qn,mqj->mnj", (w2 * nx)[nd], psi, Gxt[nd])
+            C_f = _einsum("mq,qn,qj->mnj", -wpl[nd], psi, TV)
+            C_f += nu * _einsum("mq,qn,mqj->mnj", wnx[nd], psi, Gxt[nd])
             elem_C[kids[nd], locs[nd]] = C_f
             wD = (w2 * (coef - ami))[nd]
             np.add.at(D_blocks, fids[nd],
@@ -322,9 +322,8 @@ def assemble_blocks(mesh, p, prob):
                 raise ValueError("problem has Dirichlet facets but no dirichlet data")
             gd = np.asarray(prob.dirichlet(Xf[is_dir].reshape(-1, 2)),
                             dtype=float).reshape(is_dir.sum(), -1)
-            lift = _einsum("mq,mq,qi->mi", (w2 * (ami - coef))[is_dir], gd, TV)
-            lift += nu * _einsum("mq,mq,mqi->mi", (w2 * nx)[is_dir], gd,
-                                 Gxt[is_dir])
+            lift = _einsum("mq,mq,qi->mi", wmi[is_dir], gd, TV)
+            lift += nu * _einsum("mq,mq,mqi->mi", wnx[is_dir], gd, Gxt[is_dir])
             np.add.at(elem_F, kids[is_dir], -lift)
         # inflow-like and final facets: outflow stabilization + data
         is_neu = on_neumann[fids]

@@ -26,6 +26,9 @@ of the keys ``lo * n_vertices + hi``, not from a loop over elements.
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import numpy as np
 
 __all__ = [
@@ -461,12 +464,18 @@ def _hanging_pairs(vertices, facets, tol, scale):
 # -- persistence --------------------------------------------------------
 
 
+def _opened(path_or_stream, mode):
+    """``open`` a path (``\\n`` line ends when writing); a stream is used
+    as it is and left open."""
+    if isinstance(path_or_stream, (str, bytes, os.PathLike)):
+        return open(path_or_stream, mode, newline="\n" if mode == "w" else None)
+    return contextlib.nullcontext(path_or_stream)
+
+
 def write_mesh(mesh, path_or_stream):
     """Plain-text mesh format (version 2) with 17-significant-digit
     coordinates."""
-    own = isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__")
-    f = open(path_or_stream, "w", newline="\n") if own else path_or_stream
-    try:
+    with _opened(path_or_stream, "w") as f:
         f.write("sthdg-mesh 2\n")
         f.write(f"mode {mesh.mode}\n")
         f.write("box " + " ".join("%.17g" % v for v in mesh.box) + "\n")
@@ -479,9 +488,6 @@ def write_mesh(mesh, path_or_stream):
         f.write(f"boundary {len(items)}\n")
         for (a, b), s in items:
             f.write("%d %d %s\n" % (a, b, SIDE_NAMES[s]))
-    finally:
-        if own:
-            f.close()
 
 
 def read_mesh(path_or_stream):
@@ -490,9 +496,7 @@ def read_mesh(path_or_stream):
     Version 1 files, which carried a ``classified`` line after
     ``nslabs``, are read by skipping that line.
     """
-    own = isinstance(path_or_stream, (str, bytes)) or hasattr(path_or_stream, "__fspath__")
-    f = open(path_or_stream, "r") if own else path_or_stream
-    try:
+    with _opened(path_or_stream, "r") as f:
         header = f.readline().split()
         if header not in (["sthdg-mesh", "1"], ["sthdg-mesh", "2"]):
             raise ValueError(f"unsupported mesh header {' '.join(header)!r}")
@@ -510,8 +514,5 @@ def read_mesh(path_or_stream):
         for _ in range(nb):
             a, b, name = f.readline().split()
             side[(int(a), int(b))] = _SIDE_ID[name]
-    finally:
-        if own:
-            f.close()
     return SpaceTimeMesh(verts, rows[:, :3], rows[:, 3], side, mode, box,
                          n_slabs=n_slabs)

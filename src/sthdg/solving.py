@@ -24,11 +24,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .air import AirParams, build_hierarchy
+from .air import RELAXATIONS, build_hierarchy
 from .hdg import (assemble_blocks, condense, line_trace_evaluator, reconstruct,
                   st_l2_error)
 from .krylov import SolverFailure, bicgstab
@@ -64,11 +64,28 @@ def accepted(report, tol):
 
 @dataclass
 class SolverParams:
+    """Every solver setting; a bad value is a ``ValueError`` whose
+    message starts with the field's name."""
+
     tol: float = 1e-12
     maxiter: int = 5000
     scale_blocks: bool = True
-    air: AirParams = field(default_factory=AirParams)
+    theta_c: float = 0.2  # coarsening strength threshold
+    theta_r: float = 0.3  # restriction neighborhood threshold
+    relaxation: str = "f_then_all_fgs"
     raise_on_failure: bool = True
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol: must be positive")
+        if self.maxiter < 1:
+            raise ValueError("maxiter: must be >= 1")
+        if self.relaxation not in RELAXATIONS:
+            raise ValueError(f"relaxation: must be one of {RELAXATIONS}")
+        # a strength threshold is a fraction of the row maximum
+        for key in ("theta_c", "theta_r"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key}: must lie in [0, 1]")
 
 
 @dataclass
@@ -124,8 +141,8 @@ def prepare_operator(cs, params, timings):
                    if params.scale_blocks else None)
     with timed(timings, "air.setup"):
         hierarchy = build_hierarchy(
-            cs.S if scaling is None else scaling.matrix, params.air,
-            cs.facet_block_size)
+            cs.S if scaling is None else scaling.matrix, params.theta_c,
+            params.theta_r, params.relaxation, cs.facet_block_size)
     return PreparedOperator(cs.S, cs.facet_block_size, scaling, hierarchy)
 
 

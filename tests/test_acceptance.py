@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sthdg.air import (AirParams, C_POINT, F_POINT, RelaxationPlan,
+from sthdg.air import (C_POINT, F_POINT, RelaxationPlan,
                        ideal_restriction_dense)
 from sthdg.amr import amr_loop
 from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
@@ -42,8 +42,7 @@ def layer_amr_records(fraction):
     the concentration of refinement; a larger one (0.12) grades the
     mesh deeper, which is where the relaxation ablation bites.
     """
-    return tuple(amr_loop(make_layer1d(), 1, 6, n0=8, fraction=fraction,
-                          keep_meshes=True))
+    return tuple(amr_loop(make_layer1d(), 1, 6, n0=8, fraction=fraction))
 
 
 def test_pulse_convergence_rates_match_p_plus_one():
@@ -204,7 +203,7 @@ def test_relaxation_needs_block_scaling_and_ordered_sweep_suffices():
         cs = condense(assemble_blocks(mesh, 1, prob))
         base = solve_condensed(cs, SolverParams()).iterations
         ordered = solve_condensed(cs, SolverParams(
-            air=AirParams(relaxation="ordered_block_gs"))).iterations
+            relaxation="ordered_block_gs")).iterations
         noscale = solve_condensed(cs, SolverParams(
             scale_blocks=False)).iterations
         rows.append((cs.S.shape[0], base, ordered, noscale))

@@ -4,16 +4,22 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sthdg.air import (MAX_COARSE, AirParams, AirSetupError, C_POINT,
-                       F_POINT, RelaxationPlan, build_hierarchy,
-                       galerkin_coarse, ideal_restriction_dense,
-                       lair_restriction, one_point_interpolation,
-                       rs_coarsen, strength_graph, topological_block_order,
-                       vcycle)
+from sthdg.air import (MAX_COARSE, AirSetupError, C_POINT, F_POINT,
+                       RelaxationPlan, build_hierarchy, galerkin_coarse,
+                       ideal_restriction_dense, lair_restriction,
+                       one_point_interpolation, rs_coarsen, strength_graph,
+                       topological_block_order, vcycle)
+from sthdg.solving import SolverParams
 
 
 def splitting(labels):
     return np.asarray(labels, dtype=np.int8)
+
+
+def default_hierarchy(A):
+    """The AIR hierarchy of ``A`` at the default solver settings."""
+    d = SolverParams()
+    return build_hierarchy(A, d.theta_c, d.theta_r, d.relaxation, 1)
 
 
 def upwind_chain(n, eps=0.0):
@@ -320,7 +326,7 @@ def test_relaxation_rejects_zero_diagonal():
 def test_hierarchy_on_chain_is_exact_for_triangular():
     n = 3000
     A = upwind_chain(n)
-    h = build_hierarchy(A, AirParams())
+    h = default_hierarchy(A)
     assert h.n_levels > 3
     assert h.levels[-1].A.shape[0] <= 4 * MAX_COARSE
     assert 1.0 < h.grid_complexity < 3.0
@@ -335,13 +341,13 @@ def test_hierarchy_stagnation_raises_when_too_big_for_dense():
     A = sp.identity(500, format="csr")  # nothing to coarsen, too big for LU
     assert 500 > 4 * MAX_COARSE
     with pytest.raises(AirSetupError):
-        build_hierarchy(A, AirParams())
+        default_hierarchy(A)
 
 
 def test_hierarchy_small_stagnation_falls_back_to_dense():
     A = sp.identity(100, format="csr")
     assert MAX_COARSE < 100 <= 4 * MAX_COARSE
-    h = build_hierarchy(A, AirParams())
+    h = default_hierarchy(A)
     assert h.n_levels == 1
     b = np.arange(100, dtype=float)
     assert np.allclose(vcycle(h, b), b)
@@ -349,7 +355,7 @@ def test_hierarchy_small_stagnation_falls_back_to_dense():
 
 def test_vcycle_preconditioner_callable():
     A = upwind_chain(500, eps=0.1)
-    h = build_hierarchy(A, AirParams())
+    h = default_hierarchy(A)
     M = h.as_preconditioner()
     rng = np.random.default_rng(15)
     b = rng.standard_normal(500)

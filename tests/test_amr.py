@@ -115,7 +115,9 @@ def test_amr_loop_grows_and_improves():
     assert all(b > a for a, b in zip(ns, ns[1:]))
     assert errs[-1] < 0.5 * errs[0]
     assert all(r.iterations >= 1 for r in recs)
-    assert all(r.mesh is None for r in recs)
+    elements = [r.mesh.n_elements for r in recs]
+    assert all(b > a for a, b in zip(elements, elements[1:]))
+    assert all(np.median(r.mesh.element_h) == r.median_h for r in recs)
 
 
 def test_amr_loop_stops_once_indicator_hits_roundoff():

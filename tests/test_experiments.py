@@ -33,7 +33,7 @@ def test_defaults_text_parses_back(tmp_path):
     assert cp["experiment"]["case"] == "pulse1d"
     assert cp["solver"]["tol"] == "1e-12"
     assert ExperimentConfig.from_ini() == ExperimentConfig()
-    assert ExperimentConfig().solver_params() == SolverParams()
+    assert ExperimentConfig().solver == SolverParams()
     ini = tmp_path / "defaults.ini"
     ini.write_text(defaults_text())
     assert ExperimentConfig.from_ini(ini) == ExperimentConfig()
@@ -47,15 +47,31 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         cfg(ladder=())
     with pytest.raises(ConfigError):
-        cfg(tol=-1.0)
-    with pytest.raises(ConfigError):
         cfg(mode="sideways")
     for key, bad in (("ladder", ((0, 4),)), ("ladder", ((8, 8), (4, -1))),
-                     ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6)),
-                     ("theta_c", 2.0), ("theta_r", -1.0),
-                     ("tol", float("nan"))):
+                     ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6))):
         with pytest.raises(ConfigError, match=key):
             cfg(**{key: bad})
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("maxiter", 0),
+    ("theta_c", 2.0), ("theta_r", -1.0), ("relaxation", "gauss")])
+def test_solver_settings_are_checked_on_construction(key, bad):
+    # a library caller is stopped here, before any solve starts
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        SolverParams(**{key: bad})
+
+
+def test_defaults_text_pins_the_ini_layout():
+    assert defaults_text() == (
+        "[experiment]\ncase = pulse1d\nmode = all_at_once\np = 1\n"
+        "nus = 1e-06\nladder = 8,16,32,64\ncycles = 6\nn0 = 8\n"
+        "fraction = 0.12\ndeformed = false\n\n"
+        "[solver]\ntol = 1e-12\nmaxiter = 5000\n"
+        "relaxation = f_then_all_fgs\ntheta_c = 0.2\ntheta_r = 0.3\n"
+        "scale_blocks = true\n\n"
+        "[output]\noutdir = results\n\n")
 
 
 def test_config_from_ini_and_overrides(tmp_path):
@@ -63,7 +79,7 @@ def test_config_from_ini_and_overrides(tmp_path):
     ini.write_text("[experiment]\ncase = layer1d\nladder = 4x2,8\n"
                    "[solver]\ntol = 1e-10\n")
     c = ExperimentConfig.from_ini(ini, overrides={"p": "3"})
-    assert c.case == "layer1d" and c.p == 3 and c.tol == 1e-10
+    assert c.case == "layer1d" and c.p == 3 and c.solver.tol == 1e-10
     assert c.ladder == ((4, 2), (8, 8))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_ini(ini, overrides={"bogus": 1})
@@ -72,9 +88,9 @@ def test_config_from_ini_and_overrides(tmp_path):
 def test_config_bool_overrides_parse_words():
     c = ExperimentConfig.from_ini(overrides={"scale_blocks": "false",
                                              "deformed": "no"})
-    assert c.scale_blocks is False and c.deformed is False
+    assert c.solver.scale_blocks is False and c.deformed is False
     c = ExperimentConfig.from_ini(overrides={"scale_blocks": "On"})
-    assert c.scale_blocks is True
+    assert c.solver.scale_blocks is True
     with pytest.raises(ConfigError):
         ExperimentConfig.from_ini(overrides={"scale_blocks": "maybe"})
 
@@ -91,7 +107,7 @@ def test_config_bad_number_overrides_raise_config_error(tmp_path):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_ini(ini)
     c = ExperimentConfig.from_ini(overrides={"p": "3", "tol": "1e-9"})
-    assert c.p == 3 and c.tol == 1e-9
+    assert c.p == 3 and c.solver.tol == 1e-9
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -345,10 +361,10 @@ def test_iterations_cell_needs_small_true_residual(tmp_path, monkeypatch, mode):
     (path,) = run_iterations(c)
     count = path.read_text().splitlines()[1].split(",")[1]
     assert int(count) >= 1
-    report_true_residual(monkeypatch, 100.0 * c.tol)  # exactly the bound
+    report_true_residual(monkeypatch, 100.0 * c.solver.tol)  # exactly the bound
     (path,) = run_iterations(c)
     assert path.read_text().splitlines()[1].split(",")[1] == count
-    report_true_residual(monkeypatch, 101.0 * c.tol)
+    report_true_residual(monkeypatch, 101.0 * c.solver.tol)
     (path,) = run_iterations(c)
     assert path.read_text().splitlines()[1].split(",")[1] == "-"
 

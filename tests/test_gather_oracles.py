@@ -24,12 +24,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS, AirParams,
+from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS,
                        build_hierarchy, galerkin_coarse,
                        lair_restriction, one_point_interpolation, rs_coarsen,
                        strength_graph)
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import assemble_blocks, condense
+from sthdg.solving import SolverParams
 from sthdg.sparsela import BlockDiagonalScaling, csr_gather, validate_csr
 
 
@@ -208,7 +209,9 @@ def pulse_system(nu):
     case = case_by_name("pulse1d", p=2, nu=nu)
     cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
     Ss = BlockDiagonalScaling(cs.S, cs.facet_block_size).matrix
-    h = build_hierarchy(Ss, AirParams(), cs.facet_block_size)
+    d = SolverParams()
+    h = build_hierarchy(Ss, d.theta_c, d.theta_r, d.relaxation,
+                        cs.facet_block_size)
     return cs.S, cs.facet_block_size, h
 
 
@@ -374,7 +377,7 @@ def test_strength_graph_per_threshold_matches_single_calls(seed, n, theta,
 def test_hierarchy_matches_loop_oracles_on_pulse(nu, theta_c, theta_r):
     S, b, h = pulse_system(nu)
     Ss = h.levels[0].A
-    new = build_hierarchy(Ss, AirParams(theta_c=theta_c, theta_r=theta_r), b)
+    new = build_hierarchy(Ss, theta_c, theta_r, SolverParams().relaxation, b)
     old, fallbacks = hierarchy_loop(Ss, theta_c, theta_r)
     assert new.n_levels == len(old) > 2
     assert new.lair_fallbacks == fallbacks
@@ -430,7 +433,7 @@ def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
 def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
     h = pulse_system(nu)[2]
     for lev in h.levels:
-        g = strength_graph(lev.A, AirParams().theta_c)[0]
+        g = strength_graph(lev.A, SolverParams().theta_c)[0]
         cf = rs_coarsen(g)
         assert_cf_bitwise(cf, _rs_coarsen_loop(g))
         if lev.labels is not None:
