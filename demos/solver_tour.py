@@ -12,8 +12,9 @@ import numpy as np
 # values, exact solution) with the space-time box it lives on
 from sthdg.cases import build_case_mesh, case_by_name
 
-case = case_by_name("pulse1d", nu=1e-2)
-print("case:", case.prob.name, " nu =", case.prob.nu)
+name = "pulse1d"
+case = case_by_name(name, nu=1e-2)
+print("case:", name, " nu =", case.prob.nu)
 
 # the mesh is a triangulation of the (t, x) rectangle; every facet is a
 # full space-time object, so "time stepping" is just a mesh mode

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import triangle_basis
-from .hdg import _geometry
 from .mesh import bisect_refine
 from .quadrature import triangle_rule
 
@@ -30,8 +29,7 @@ def zz_estimate(mesh, U, p):
     ne = mesh.n_elements
     basis = triangle_basis(p)
     coeffs = U.reshape(ne, -1)
-    _, _, detJ, Jinv = _geometry(mesh)
-    area = mesh.areas
+    detJ, Jinv, area = mesh.detJ, mesh.Jinv, mesh.areas
 
     # element gradient at the three vertices, physical components (t, x)
     gref_v = basis.grad(_VERTEX_REF)

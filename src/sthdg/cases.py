@@ -86,7 +86,7 @@ def make_pulse1d(nu, deformed=False):
 
     prob = ProblemSpec(nu=nu, velocity=1.0, source=None, dirichlet=exact,
                        neumann=trace_neumann(exact, exact_grad, nu),
-                       exact=exact, exact_grad=exact_grad, name="pulse1d")
+                       exact=exact, exact_grad=exact_grad)
     deform = DeformationMap(0.1) if deformed else None
     return Case(prob=prob, box=(0.0, 1.0, -0.5, 0.5), deformation=deform)
 
@@ -109,7 +109,7 @@ def make_layer1d():
 
     prob = ProblemSpec(nu=0.0, velocity=1.0, source=None, dirichlet=exact,
                        neumann=trace_neumann(exact, zero_grad, 0.0),
-                       exact=exact, exact_grad=zero_grad, name="layer1d")
+                       exact=exact, exact_grad=zero_grad)
     return Case(prob=prob, box=(0.0, 1.0, 0.0, 1.0))
 
 
@@ -172,7 +172,7 @@ def make_polyexact(p, nu, deformed=False):
 
     prob = ProblemSpec(nu=nu, velocity=1.0, source=source, dirichlet=exact,
                        neumann=trace_neumann(exact, exact_grad, nu),
-                       exact=exact, exact_grad=exact_grad, name=f"polyexact{p}")
+                       exact=exact, exact_grad=exact_grad)
     deform = DeformationMap(0.1) if deformed else None
     return Case(prob=prob, box=(0.0, 1.0, -0.5, 0.5), deformation=deform)
 

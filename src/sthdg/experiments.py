@@ -12,7 +12,8 @@ Each runner builds its meshes and systems from an
 :class:`ExperimentConfig`, solves with the production pipeline, and
 writes plain CSV.  A run solves the case exactly as
 :meth:`ExperimentConfig.make_case` builds it and is labelled with that
-case's ν (``layer1d`` is defined only at ν = 0, so it reads 0.0 whatever
+case's ν; the runners that sweep ``nus`` solve each distinct case ν once
+(``layer1d`` is defined only at ν = 0, so it gives one 0.0 run whatever
 ``nus`` says).  Formatting is fixed (``repr`` for floats, ``-`` for
 runs that :func:`sthdg.solving.accepted` rejects: not converged, or a
 true residual above ``TRUE_RESIDUAL_FACTOR * tol``) and iteration order
@@ -205,6 +206,11 @@ class ExperimentConfig:
     def make_case(self, nu):
         return case_by_name(self.case, p=self.p, nu=nu, deformed=self.deformed)
 
+    def distinct_cases(self):
+        """The case at each of ``nus``, in order, once per distinct case ν."""
+        cases = map(self.make_case, self.nus)
+        return list({case.prob.nu: case for case in cases}.values())
+
 
 def _default(key):
     """The default value of setting ``key``."""
@@ -285,8 +291,7 @@ def run_converge(cfg):
     """Uniform-refinement error table; one row per (nu, ladder entry)."""
     with _frame(cfg) as (out, stages):
         rows = []
-        for nu in cfg.nus:
-            case = cfg.make_case(nu)
+        for case in cfg.distinct_cases():
             prev = None
             for nx, nt in cfg.ladder:
                 res = _solve_entry(cfg, case, nx, nt, cfg.solver, stages)
@@ -302,20 +307,15 @@ def run_converge(cfg):
 def run_iterations(cfg):
     """Iteration-count grid: ladder rows against nu columns."""
     with _frame(cfg) as (out, stages):
-        header = ["dofs"]
-        grid = {}
-        dofs_by_entry = {}
+        cases = cfg.distinct_cases()
+        header = ["dofs"] + [f"nu={_fmt(case.prob.nu)}" for case in cases]
         params = replace(cfg.solver, raise_on_failure=False)
-        for nu in cfg.nus:
-            case = cfg.make_case(nu)
-            header.append(f"nu={_fmt(case.prob.nu)}")
-            for entry in cfg.ladder:
+        rows = [[None] for _ in cfg.ladder]  # dofs, then one column per case
+        for case in cases:
+            for row, entry in zip(rows, cfg.ladder):
                 res = _solve_entry(cfg, case, *entry, params, stages)
-                dofs_by_entry[entry] = res["dofs"]
-                grid[(entry, nu)] = (res["sol"].iterations if res["converged"]
-                                     else "-")
-        rows = [[dofs_by_entry[entry]] + [grid[(entry, nu)] for nu in cfg.nus]
-                for entry in cfg.ladder]
+                row[0] = res["dofs"]
+                row.append(res["sol"].iterations if res["converged"] else "-")
         return [_write_csv(out / "iterations.csv", header, rows)]
 
 
@@ -404,7 +404,7 @@ def run_relaxcompare(cfg):
 def run_ordercheck(cfg):
     """Topological block-order diagnostics of the scaled facet system.
 
-    For each nu: build the case's system at its own ν, scale it, search
+    For each distinct case ν: build the case's system, scale it, search
     for a topological block ordering, and apply one ordered block
     Gauss-Seidel sweep.  A complete ordering (acyclic block graph) makes
     that sweep an exact solve; cyclic couplings are reported per block.
@@ -412,8 +412,7 @@ def run_ordercheck(cfg):
     with _frame(cfg) as (out, _):
         nx, nt = cfg.ladder[-1]
         rows = []
-        for nu in cfg.nus:
-            case = cfg.make_case(nu)
+        for case in cfg.distinct_cases():
             mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
             cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
             scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)

@@ -16,10 +16,12 @@ penalty), so time stepping is upwinding through the mesh.
 
 Boundary conditions come from the problem, read once per assembly from
 the mesh's side labels: ``tmin`` facets are inflow-like Neumann, carrying
-``-zeta u a_n + nu u_x n_x = g_N`` weakly, ``tmax`` facets are the
-vacuous outflow Neumann surface, and a spatial side is Neumann when
-:attr:`ProblemSpec.neumann_sides` names it and Dirichlet otherwise.
-Dirichlet data is eliminated (lifted into the right-hand side).
+``-zeta u a_n + nu u_x n_x = g_N`` weakly (``g_N`` from
+:attr:`ProblemSpec.initial` when the problem gives it, else from
+``neumann``), ``tmax`` facets are the vacuous outflow Neumann surface,
+and a spatial side is Neumann when :attr:`ProblemSpec.neumann_sides`
+names it and Dirichlet otherwise.  Dirichlet data is eliminated (lifted
+into the right-hand side).
 
 Assembly produces per-element dense blocks plus the facet-coupled blocks
 of the saddle system
@@ -74,9 +76,11 @@ class ProblemSpec:
     ``velocity`` may be a constant or a callable on (n, 2) space-time
     points; ``neumann`` receives points and the matching outward normals
     and must implement the inflow-trace formula for manufactured data.
-    ``None`` data callables mean homogeneous data.  ``neumann_sides``
-    names the spatial sides (``xlo``, ``xhi``) that carry Neumann data;
-    the others are Dirichlet.
+    ``initial`` maps points on the facets labelled ``tmin`` to their data
+    (a slab march passes the previous slab's top trace); ``None`` leaves
+    that data to ``neumann``, and a ``None`` ``neumann`` means zero data.
+    ``neumann_sides`` names the spatial sides (``xlo``, ``xhi``) that
+    carry Neumann data; the others are Dirichlet.
     """
 
     nu: float
@@ -86,8 +90,8 @@ class ProblemSpec:
     neumann: Optional[Callable] = None
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None  # rows (u_t, u_x)
+    initial: Optional[Callable] = None
     neumann_sides: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         for s in self.neumann_sides:
@@ -133,18 +137,6 @@ def _einsum(subscripts, *operands):
     takes 8-10 ms with it (2-core Xeon)."""
     path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
-
-
-def _geometry(mesh):
-    v = mesh.vertices[mesh.elements]
-    J = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / detJ
-    Jinv[:, 0, 1] = -J[:, 0, 1] / detJ
-    Jinv[:, 1, 0] = -J[:, 1, 0] / detJ
-    Jinv[:, 1, 1] = J[:, 0, 0] / detJ
-    return v, J, detJ, Jinv
 
 
 def _facet_side_groups(mesh):
@@ -249,15 +241,13 @@ def assemble_blocks(mesh, p, prob):
     nM = p + 1
     ne = mesh.n_elements
     nf = mesh.n_facets
-    v, J, detJ, Jinv = _geometry(mesh)
-
     # volume terms
-    X = v[:, 0][:, None, :] + np.einsum("eij,qj->eqi", J, rq)
+    X = mesh.element_points(rq)
     flatX = X.reshape(-1, 2)
     avals = prob.velocity_at(flatX).reshape(ne, -1)
-    G = np.einsum("qid,edc->eqic", gref, Jinv)
+    G = np.einsum("qid,edc->eqic", gref, mesh.Jinv)
     conv = G[:, :, :, 0] + avals[:, :, None] * G[:, :, :, 1]
-    wdet = rw[None, :] * detJ[:, None]
+    wdet = rw[None, :] * mesh.detJ[:, None]
     elem_A = -_einsum("eq,eqi,qj->eij", wdet, conv, phi)
     elem_A += nu * _einsum("eq,eqi,eqj->eij", wdet, G[:, :, :, 1],
                            G[:, :, :, 1])
@@ -295,7 +285,7 @@ def assemble_blocks(mesh, p, prob):
         # the upwind advective flux couples and extra penalization would
         # degrade even-degree convergence
         coef = (nu * alpha / mesh.element_h[kids])[:, None] * n[:, 1:2] ** 2
-        Gxt = np.einsum("qid,md->mqi", TGref, Jinv[kids][:, :, 1])
+        Gxt = np.einsum("qid,md->mqi", TGref, mesh.Jinv[kids][:, :, 1])
         wpl = w2 * (apl + coef)
         wmi = w2 * (ami - coef)
         wnx = w2 * n[:, 1:2]
@@ -325,18 +315,24 @@ def assemble_blocks(mesh, p, prob):
             lift = _einsum("mq,mq,qi->mi", wmi[is_dir], gd, TV)
             lift += nu * _einsum("mq,mq,mqi->mi", wnx[is_dir], gd, Gxt[is_dir])
             np.add.at(elem_F, kids[is_dir], -lift)
-        # inflow-like and final facets: outflow stabilization + data
+        # inflow-like and final facets: outflow stabilization + data, the
+        # tmin rows from ``initial`` when the problem gives it
         is_neu = on_neumann[fids]
         if is_neu.any():
             np.add.at(D_blocks, fids[is_neu],
                       _einsum("mq,qn,qk->mnk", (w2 * apl)[is_neu], psi, psi))
+            Xn = Xf[is_neu]
+            gn = np.zeros(Xn.shape[:2])
             if prob.neumann is not None:
                 nn = np.repeat(n[is_neu][:, None, :], len(sseg), axis=1)
-                gn = np.asarray(
-                    prob.neumann(Xf[is_neu].reshape(-1, 2), nn.reshape(-1, 2)),
-                    dtype=float).reshape(is_neu.sum(), -1)
-                np.add.at(G_blocks, fids[is_neu],
-                          _einsum("mq,mq,qn->mn", w2[is_neu], gn, psi))
+                gn[:] = np.reshape(
+                    prob.neumann(Xn.reshape(-1, 2), nn.reshape(-1, 2)), gn.shape)
+            bottom = mesh.boundary_sides[fids[is_neu]] == _SIDE_ID["tmin"]
+            if prob.initial is not None and bottom.any():
+                gn[bottom] = np.reshape(prob.initial(Xn[bottom].reshape(-1, 2)),
+                                        (bottom.sum(), -1))
+            np.add.at(G_blocks, fids[is_neu],
+                      _einsum("mq,mq,qn->mn", w2[is_neu], gn, psi))
 
     coupled = np.nonzero((mesh.facet_elems[:, 1] >= 0) | on_neumann)[0]
 
@@ -410,11 +406,10 @@ def st_l2_error(mesh, p, U, exact):
     """Space-time L2 distance between U and a callable exact solution."""
     rq, rw = triangle_rule(2 * p + 4)
     phi = triangle_basis(p).eval(rq)
-    v, J, detJ, _ = _geometry(mesh)
-    X = v[:, 0][:, None, :] + np.einsum("eij,qj->eqi", J, rq)
+    X = mesh.element_points(rq)
     ue = np.asarray(exact(X.reshape(-1, 2)), dtype=float).reshape(mesh.n_elements, -1)
     uh = np.einsum("qi,ei->eq", phi, U.reshape(mesh.n_elements, -1))
-    err2 = np.einsum("eq,eq->", rw[None, :] * detJ[:, None], (uh - ue) ** 2)
+    err2 = np.einsum("eq,eq->", rw[None, :] * mesh.detJ[:, None], (uh - ue) ** 2)
     return float(np.sqrt(err2))
 
 
@@ -422,8 +417,7 @@ def project(mesh, p, fn):
     """Elementwise L2 projection of a callable onto P_p; returns (ne*nV,)."""
     rq, rw = triangle_rule(2 * p + 4)
     phi = triangle_basis(p).eval(rq)
-    v, J, detJ, _ = _geometry(mesh)
-    X = v[:, 0][:, None, :] + np.einsum("eij,qj->eqi", J, rq)
+    X = mesh.element_points(rq)
     fv = np.asarray(fn(X.reshape(-1, 2)), dtype=float).reshape(mesh.n_elements, -1)
     # reference-orthonormal basis: the element mass matrix is detJ * I and
     # the detJ factors cancel against the quadrature weights
@@ -446,8 +440,7 @@ def line_trace_evaluator(mesh, p, U):
     fsel = fsel[order]
     lo = lo[order]
     ks = mesh.facet_elems[fsel, 0]
-    v, _, _, Jinv = _geometry(mesh)
-    v0 = v[:, 0]
+    v0 = mesh.vertices[mesh.elements[:, 0]]
     tb = triangle_basis(p)
     Ue = U.reshape(mesh.n_elements, -1)
 
@@ -455,7 +448,7 @@ def line_trace_evaluator(mesh, p, U):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         idx = np.clip(np.searchsorted(lo, pts[:, 1], side="right") - 1, 0, len(lo) - 1)
         k = ks[idx]
-        ref = np.einsum("ndc,nc->nd", Jinv[k], pts - v0[k])
+        ref = np.einsum("ndc,nc->nd", mesh.Jinv[k], pts - v0[k])
         return np.einsum("qi,qi->q", tb.eval(ref), Ue[k])
 
     return evaluate

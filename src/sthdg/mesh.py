@@ -69,6 +69,12 @@ class SpaceTimeMesh:
     box : tuple
         (t0, tN, xlo, xhi) of the undeformed bounding box.
 
+    Element maps (computed once): element k is the reference triangle's
+    image under ``x = vertices[elements[k, 0]] + J[k] @ xi`` (see
+    :meth:`element_points`); ``J`` (ne, 2, 2) has the edges from local
+    vertex 0 as columns, and ``detJ``, ``Jinv``, ``areas = detJ / 2`` and
+    the longest edge ``element_h`` come with it.
+
     Derived connectivity (computed once):
 
     - ``facets`` (nf, 2): sorted vertex pairs, lexicographically ordered.
@@ -98,12 +104,17 @@ class SpaceTimeMesh:
         ne = len(e)
         if self.slab_index.shape != (ne,):
             raise ValueError("slab_index shape mismatch")
-        d1 = v[e[:, 1]] - v[e[:, 0]]
-        d2 = v[e[:, 2]] - v[e[:, 0]]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        J = np.stack([v[e[:, 1]] - v[e[:, 0]], v[e[:, 2]] - v[e[:, 0]]], axis=-1)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         if np.any(det <= 0):
             bad = int(np.argmax(det <= 0))
             raise ValueError(f"element {bad} is not positively oriented")
+        Jinv = np.empty_like(J)
+        Jinv[:, 0, 0] = J[:, 1, 1] / det
+        Jinv[:, 0, 1] = -J[:, 0, 1] / det
+        Jinv[:, 1, 0] = -J[:, 1, 0] / det
+        Jinv[:, 1, 1] = J[:, 0, 0] / det
+        self.J, self.detJ, self.Jinv = J, det, Jinv
         self.areas = 0.5 * det
 
         # one key lo*nv + hi per local edge; np.unique numbers the facets
@@ -156,12 +167,8 @@ class SpaceTimeMesh:
             raise ValueError(f"boundary facet {(a, b)} has no side label")
         self.boundary_sides = np.full(nf, -1, dtype=np.int8)
         self.boundary_sides[bnd] = label[ok][lorder][pos]
-        self.element_h = self._element_h()
-
-    def _element_h(self):
-        v, e = self.vertices, self.elements
-        ls = [np.hypot(*(v[e[:, j]] - v[e[:, i]]).T) for i, j in _LOCAL_EDGES]
-        return np.max(ls, axis=0)
+        edges = np.stack([J[:, :, 0], J[:, :, 1], v[e[:, 2]] - v[e[:, 1]]])
+        self.element_h = np.hypot(edges[..., 0], edges[..., 1]).max(axis=0)
 
     # -- queries --------------------------------------------------------
 
@@ -177,14 +184,14 @@ class SpaceTimeMesh:
     def n_facets(self):
         return len(self.facets)
 
+    def element_points(self, ref):
+        """Images (ne, nq, 2) of reference points ``ref`` (nq, 2) under every
+        element map."""
+        origin = self.vertices[self.elements[:, 0]]
+        return origin[:, None, :] + np.einsum("eij,qj->eqi", self.J, ref)
+
     def facet_midpoints(self):
         return 0.5 * (self.vertices[self.facets[:, 0]] + self.vertices[self.facets[:, 1]])
-
-    def replace_vertices(self, vertices):
-        """Same topology and labels with new coordinates."""
-        return SpaceTimeMesh(vertices, self.elements, self.slab_index,
-                             self.side_of_edge, self.mode, self.box,
-                             n_slabs=self.n_slabs)
 
 
 class DeformationMap:
@@ -258,8 +265,11 @@ def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
 
 
 def deform_mesh(mesh, deformation):
-    """Apply a :class:`DeformationMap` to the mesh vertices."""
-    return mesh.replace_vertices(deformation(mesh.vertices))
+    """Apply a :class:`DeformationMap` to the mesh vertices; topology and
+    labels stay."""
+    return SpaceTimeMesh(deformation(mesh.vertices), mesh.elements,
+                         mesh.slab_index, mesh.side_of_edge, mesh.mode,
+                         mesh.box, n_slabs=mesh.n_slabs)
 
 
 def bisect_refine(mesh, marked):

@@ -4,7 +4,8 @@ The production path mirrors the intended solver pipeline: condense to
 the facet system, scale on the left by the facet block-diagonal inverse,
 build the AIR hierarchy on the scaled operator, and run preconditioned
 BiCGSTAB.  Slab mode extracts one time slab at a time and hands each
-slab's top trace to the next slab as inflow-like Neumann data.
+slab's top trace to the next slab as the data on its ``tmin`` facets
+(:attr:`~sthdg.hdg.ProblemSpec.initial`).
 
 A solve has two steps.  :func:`prepare_operator` scales ``S`` and builds
 the hierarchy; :func:`solve_condensed` scales one ``H`` with the kept
@@ -24,7 +25,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,10 +64,15 @@ def accepted(report, tol):
     return report.converged and report.true_residual <= TRUE_RESIDUAL_FACTOR * tol
 
 
+# the values each field annotation accepts (annotations are strings here,
+# under ``from __future__ import annotations``)
+_KINDS = {"float": Real, "int": Integral, "bool": bool, "str": str}
+
+
 @dataclass
 class SolverParams:
-    """Every solver setting; a bad value is a ``ValueError`` whose
-    message starts with the field's name."""
+    """Every solver setting; a value of the wrong type or out of range is
+    a ``ValueError`` whose message starts with the field's name."""
 
     tol: float = 1e-12
     maxiter: int = 5000
@@ -76,6 +83,12 @@ class SolverParams:
     raise_on_failure: bool = True
 
     def __post_init__(self):
+        # each field's annotation is its type; a bool is not taken for a
+        # number, nor a number or string for a bool
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _KINDS[f.type]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name}: must be {f.type}, got {value!r}")
         if not self.tol > 0:
             raise ValueError("tol: must be positive")
         if self.maxiter < 1:
@@ -202,22 +215,6 @@ class SlabSolution:
         return float(np.sqrt(np.sum(np.square(parts))))
 
 
-def _slab_neumann(base, transfer):
-    """Dispatch inflow data: slab-bottom facets read the previous trace."""
-
-    def g_n(points, normals):
-        pts = np.atleast_2d(points)
-        nrm = np.atleast_2d(normals)
-        out = (np.asarray(base(pts, nrm), dtype=float) if base is not None
-               else np.zeros(len(pts)))
-        bottom = nrm[:, 0] < -0.5
-        if transfer is not None and bottom.any():
-            out[bottom] = transfer(pts[bottom])
-        return out
-
-    return g_n
-
-
 def _condensed(mesh, p, prob, timings):
     """Assemble and condense the HDG system on ``mesh``, booking both."""
     with timed(timings, "hdg.assemble"):
@@ -230,7 +227,8 @@ def solve_problem(mesh, p, prob, params=None):
     """Solve on ``mesh`` according to its mode.
 
     all_at_once: one global condensed solve; returns a CondensedSolve.
-    slab: sequential per-slab solves with trace transfer; returns a
+    slab: sequential per-slab solves; from the second slab on, the
+    problem's ``initial`` is the previous slab's top trace.  Returns a
     SlabSolution.  A slab whose condensed ``S`` equals, entry for entry,
     the one the last :class:`PreparedOperator` came from is solved with
     that operator; otherwise a new one is prepared.  ``params`` are fixed
@@ -254,7 +252,7 @@ def solve_problem(mesh, p, prob, params=None):
     for n in range(mesh.n_slabs):
         with timed(timings, "mesh.extract_slab"):
             sub, _, _ = extract_slab(mesh, n)
-        sprob = replace(prob, neumann=_slab_neumann(prob.neumann, transfer))
+        sprob = prob if transfer is None else replace(prob, initial=transfer)
         cs = _condensed(sub, p, sprob, timings)
         if operator is None or not operator.serves(cs):
             operator = prepare_operator(cs, params, timings)

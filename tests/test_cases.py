@@ -115,7 +115,9 @@ def test_trace_neumann_outflow_side():
 def test_case_catalog_lookup():
     assert case_by_name("pulse1d", nu=1e-3).prob.nu == 1e-3
     assert case_by_name("polyexact", p=1, nu=1e-3).prob.nu == 1e-3
-    assert case_by_name("layer1d").prob.name == "layer1d"
-    assert case_by_name("polyexact", p=2).prob.name == "polyexact2"
+    # the step below the characteristic x = t; the degree-2 polynomial
+    # 1 + t + x + t x + t^2/2 - 0.3 x^2 at (0, 1)
+    assert case_by_name("layer1d").prob.exact([[0.5, 0.25]])[0] == 1.0
+    assert np.isclose(case_by_name("polyexact", p=2).prob.exact([[0.0, 1.0]])[0], 1.7)
     with pytest.raises(KeyError):
         case_by_name("nosuch")

@@ -56,7 +56,9 @@ def test_config_validation_errors():
 
 @pytest.mark.parametrize("key, bad", [
     ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("maxiter", 0),
-    ("theta_c", 2.0), ("theta_r", -1.0), ("relaxation", "gauss")])
+    ("theta_c", 2.0), ("theta_r", -1.0), ("relaxation", "gauss"),
+    ("scale_blocks", "false"), ("maxiter", 3.5), ("tol", "1e-3"),
+    ("maxiter", True), ("theta_c", None), ("raise_on_failure", 1)])
 def test_solver_settings_are_checked_on_construction(key, bad):
     # a library caller is stopped here, before any solve starts
     with pytest.raises(ValueError, match=f"^{key}: "):
@@ -237,16 +239,20 @@ def test_ordercheck_table(tmp_path):
 
 
 def test_layer1d_tables_label_the_nu_solved(tmp_path):
-    # layer1d is defined only at nu = 0: every run solves and reads 0.0
+    # layer1d is defined only at nu = 0: both nus give the one system,
+    # which each runner solves once and labels 0.0
     c = ExperimentConfig(case="layer1d", p=1, nus=(1e-3, 1e-2),
                          ladder=((4, 4),), outdir=str(tmp_path))
     (path,) = run_iterations(c)
     lines = path.read_text().splitlines()
-    assert lines == ["dofs,nu=0.0,nu=0.0", "96,1,1"]
+    assert lines == ["dofs,nu=0.0", "96,1"]
+    (path,) = run_converge(c)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["0.0"]
     (path,) = run_ordercheck(c)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert [row[0] for row in rows] == ["0.0", "0.0"]
-    assert all(row[4] == "1" and row[5] == "0" for row in rows)
+    assert [row[0] for row in rows] == ["0.0"]
+    assert rows[0][4] == "1" and rows[0][5] == "0"
 
 
 def test_export_files_consistent(tmp_path):

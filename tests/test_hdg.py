@@ -7,7 +7,7 @@ from sthdg.cases import build_case_mesh, make_polyexact, make_pulse1d
 from sthdg.hdg import (ProblemSpec, assemble_blocks, condense, default_penalty,
                        lambda_dof_positions, line_trace_evaluator, project,
                        reconstruct, st_l2_error)
-from sthdg.mesh import build_st_mesh, extract_slab
+from sthdg.mesh import SIDE_NAMES, build_st_mesh, extract_slab
 from sthdg.solving import solve_problem
 from sthdg.sparsela import DenseLU
 
@@ -49,6 +49,47 @@ def test_problem_neumann_sides_couple_on_any_mesh(mode, ns):
     err = (sol.error(2, prob.exact) if mode == "slab"
            else st_l2_error(mesh, 2, sol.U, prob.exact))
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_initial_data_reaches_only_tmin_facets(deformed):
+    """``initial`` replaces ``neumann`` on the facets labelled tmin and
+    nowhere else, also where a deformed Neumann side leans in time."""
+    case = make_polyexact(2, nu=0.05, deformed=deformed)
+    prob = replace(case.prob, neumann_sides=("xlo", "xhi"))
+    mesh = build_case_mesh(case, 6, 6)
+    base = assemble_blocks(mesh, 2, prob)
+    shifted = assemble_blocks(mesh, 2, replace(
+        prob, initial=lambda pts: prob.exact(pts) + 1.0))
+    changed = np.abs(shifted.G - base.G).reshape(-1, 3).max(axis=1) > 1e-12
+    tmin = mesh.boundary_sides[base.coupled_facets] == SIDE_NAMES.index("tmin")
+    assert tmin.sum() == 6 and np.array_equal(changed, tmin)
+
+
+def _slab_and_all_at_once_errors(case, sides):
+    prob = replace(case.prob, neumann_sides=sides)
+    slab = solve_problem(build_case_mesh(case, 16, 16, mode="slab"), 2, prob)
+    mesh = build_case_mesh(case, 16, 16)
+    whole = solve_problem(mesh, 2, prob)
+    return (slab.error(2, prob.exact),
+            st_l2_error(mesh, 2, whole.U, prob.exact))
+
+
+@pytest.mark.parametrize("sides", [("xlo",), ("xlo", "xhi")])
+def test_slab_inflow_reaches_only_tmin_facets(sides):
+    """The deformed mesh's spatial sides lean in time, so some outward
+    normals there point backwards in t; the previous slab's trace must
+    still reach only the facets labelled tmin, and the polynomial is then
+    reproduced slab by slab too."""
+    slab, _ = _slab_and_all_at_once_errors(
+        make_polyexact(2, nu=0.05, deformed=True), sides)
+    assert slab < 1e-10
+
+
+def test_slab_march_equals_all_at_once_with_a_neumann_side():
+    slab, whole = _slab_and_all_at_once_errors(
+        make_pulse1d(1e-2, deformed=True), ("xlo",))
+    assert abs(slab - whole) <= 1e-10 * whole
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

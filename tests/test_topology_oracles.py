@@ -12,7 +12,11 @@ blocks are accumulated, so they must match the per-side loop in group
 order, member order and dtype.  ``validate_mesh``'s conformity check
 tests only the vertices in each facet's bounding box, found by a sort on
 t; it must report exactly the (vertex, facet) pairs of the loop that
-tests every vertex against every facet.
+tests every vertex against every facet.  The element maps (``J``,
+``detJ``, ``Jinv``) that ``SpaceTimeMesh`` computes once for every
+element, and the longest edges ``element_h`` it takes from them, must
+match a per-element loop bitwise, with ``areas`` exactly half the
+determinant.
 """
 
 import numpy as np
@@ -126,6 +130,28 @@ def connectivity_loop(vertices, elements, side_of_edge):
             "boundary_sides": boundary_sides}
 
 
+def element_maps_loop(vertices, elements):
+    ne = len(elements)
+    J = np.empty((ne, 2, 2))
+    detJ = np.empty(ne)
+    Jinv = np.empty((ne, 2, 2))
+    areas = np.empty(ne)
+    h = np.empty(ne)
+    for k in range(ne):
+        (t0, x0), (t1, x1), (t2, x2) = vertices[elements[k]].tolist()
+        # columns: the edges from local vertex 0 to local vertices 1 and 2
+        a, b, c, d = t1 - t0, t2 - t0, x1 - x0, x2 - x0
+        det = a * d - b * c
+        J[k] = [[a, b], [c, d]]
+        detJ[k] = det
+        Jinv[k] = [[d / det, -b / det], [-c / det, a / det]]
+        areas[k] = 0.5 * det
+        h[k] = max(np.hypot(t2 - t1, x2 - x1), np.hypot(t0 - t2, x0 - x2),
+                   np.hypot(t1 - t0, x1 - x0))
+    return {"J": J, "detJ": detJ, "Jinv": Jinv, "areas": areas,
+            "element_h": h}
+
+
 def facet_side_groups_loop(mesh):
     groups = {}
     for s in (0, 1):
@@ -163,8 +189,10 @@ def same_bits(a, b):
 
 def assert_connectivity_matches_loop(mesh):
     want = connectivity_loop(mesh.vertices, mesh.elements, mesh.side_of_edge)
+    want.update(element_maps_loop(mesh.vertices, mesh.elements))
     for name, arr in want.items():
         assert same_bits(getattr(mesh, name), arr), name
+    assert same_bits(mesh.areas, 0.5 * mesh.detJ)
 
 
 @pytest.mark.parametrize("nx, nt", [(1, 1), (1, 4), (5, 1), (3, 3), (4, 7),
