@@ -31,6 +31,18 @@ of the saddle system
 
 and :func:`condense` eliminates ``U`` element by element to the facet
 Schur complement ``S = D - C A^{-1} B``, ``H = G - C A^{-1} F``.
+
+Both steps come in two parts.  The operator part (:class:`BlockOperator`:
+``A``, ``B``, ``C``, ``D``, the coupled and loose facets, and per facet
+group the operands the data is contracted with; :class:`CondensedOperator`:
+the element inverses, the gather index and ``S``) reads only what
+:func:`operator_key` holds as bytes: the element maps, facet geometry,
+side labels and topology, the velocity at the quadrature points, ``p``,
+``nu`` and the Neumann sides.  The load part (:func:`assemble_load`:
+``F`` from the source and the Dirichlet lift, ``G`` from the Neumann-like
+data; :func:`condense_load`: ``H``) adds the problem's data.
+:func:`assemble_blocks` and :func:`condense` run both parts; a slab march
+runs only the load part for a slab whose key it has met.
 """
 
 from __future__ import annotations
@@ -49,11 +61,16 @@ from .sparsela import SingularBlockError, block_diag_csr, validate_csr
 
 __all__ = [
     "ProblemSpec",
+    "BlockOperator",
     "BlockSystem",
+    "CondensedOperator",
     "CondensedSystem",
     "default_penalty",
+    "operator_key",
     "assemble_blocks",
+    "assemble_load",
     "condense",
+    "condense_load",
     "reconstruct",
     "st_l2_error",
     "project",
@@ -160,25 +177,74 @@ def _facet_side_groups(mesh):
             for a, b in zip(starts[lead], ends[lead])}
 
 
+def _facet_points(mesh, fids, s):
+    """Points (len(fids), len(s), 2) at parameters ``s`` along facets ``fids``."""
+    pa = mesh.vertices[mesh.facets[fids, 0]]
+    pb = mesh.vertices[mesh.facets[fids, 1]]
+    return pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+
+
+def _velocities(mesh, p, prob):
+    """The velocity at every element and every facet quadrature point,
+    (ne, nq) and (nf, nqf)."""
+    rq, _, _, _, sseg, _, _, _ = _tables(p)
+    X = mesh.element_points(rq)
+    Xf = _facet_points(mesh, slice(None), sseg)
+    return (prob.velocity_at(X.reshape(-1, 2)).reshape(len(X), -1),
+            prob.velocity_at(Xf.reshape(-1, 2)).reshape(len(Xf), -1))
+
+
+def operator_key(mesh, p, prob):
+    """Everything the operator part of :func:`assemble_blocks` reads, as bytes.
+
+    That is ``p``, ``prob.nu`` and ``prob.neumann_sides``; the element
+    maps, facet lengths and normals, side labels, ``element_h`` and
+    topology arrays of ``mesh``; and the velocity at every element and
+    facet quadrature point.  Two (mesh, problem) pairs with equal keys
+    have bitwise-equal operator parts, whatever their source, boundary
+    and initial data.
+    """
+    arrays = (mesh.Jinv, mesh.detJ, mesh.element_h, mesh.facet_lengths,
+              mesh.facet_normals, mesh.boundary_sides, mesh.elements,
+              mesh.facets, mesh.elem_facets, mesh.facet_elems,
+              mesh.facet_locals, *_velocities(mesh, p, prob))
+    return (p, float(prob.nu), tuple(prob.neumann_sides),
+            *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
 @dataclass
-class BlockSystem:
-    """Assembled four-block system in element/facet-local storage."""
+class BlockOperator:
+    """The operator part of an assembled system: every block but the load.
+
+    ``dirichlet`` and ``neumann`` keep, per facet side group, the
+    operands that :func:`assemble_load` contracts with a problem's data.
+    """
 
     mesh: object
+    p: int
     nV: int
     facet_block_size: int
     elem_A: np.ndarray  # (ne, nV, nV)
-    elem_F: np.ndarray  # (ne, nV)
     elem_B: np.ndarray  # (ne, 3, nV, nM), zero on Dirichlet edges
     elem_C: np.ndarray  # (ne, 3, nM, nV)
     elem_facet_block: np.ndarray  # (ne, 3) facet block column or -1
     D: sp.csr_matrix
-    G: np.ndarray
     coupled_facets: np.ndarray
+    loose_facets: np.ndarray  # coupled facets whose traces are pinned to 0
+    dirichlet: list  # (TV, fids, kids, wmi, wnx, Gxt) of the Dirichlet facets
+    neumann: list  # (fids, normals, w2) of the Neumann-like facets
 
     @property
     def n_lambda(self):
         return len(self.coupled_facets) * self.facet_block_size
+
+
+@dataclass
+class BlockSystem(BlockOperator):
+    """Assembled four-block system in element/facet-local storage."""
+
+    elem_F: np.ndarray  # (ne, nV)
+    G: np.ndarray
 
     def monolithic(self):
         """Full sparse [[A, B], [C, D]] system and its right-hand side."""
@@ -212,16 +278,14 @@ class BlockSystem:
 
 
 @dataclass
-class CondensedSystem:
-    """Facet Schur complement with retained element solves."""
+class CondensedOperator:
+    """The operator part of a condensed system: ``S`` and the element solves."""
 
     S: sp.csr_matrix
-    H: np.ndarray
     facet_block_size: int
     mesh: object
     elem_Ainv: np.ndarray  # (ne, nV, nV)
     elem_Brect: np.ndarray  # (ne, nV, 3*nM)
-    elem_F: np.ndarray
     gather_index: np.ndarray  # (ne, 3*nM) global lambda index or -1
     coupled_facets: np.ndarray
 
@@ -230,8 +294,23 @@ class CondensedSystem:
         return self.S.shape[0]
 
 
+@dataclass
+class CondensedSystem(CondensedOperator):
+    """Facet Schur complement with retained element solves."""
+
+    elem_F: np.ndarray
+    H: np.ndarray
+
+
 def assemble_blocks(mesh, p, prob):
-    """Assemble the four-block HDG system for ``prob`` at degree ``p``."""
+    """Assemble the four-block HDG system for ``prob`` at degree ``p``: its
+    operator part, then its load (:func:`assemble_load`)."""
+    op = _assemble_operator(mesh, p, prob)
+    elem_F, G = assemble_load(op, mesh, prob)
+    return BlockSystem(**vars(op), elem_F=elem_F, G=G)
+
+
+def _assemble_operator(mesh, p, prob):
     if p < 1:
         raise ValueError("degree must be >= 1")
     nu = float(prob.nu)
@@ -241,26 +320,19 @@ def assemble_blocks(mesh, p, prob):
     nM = p + 1
     ne = mesh.n_elements
     nf = mesh.n_facets
+    avals, afacets = _velocities(mesh, p, prob)
     # volume terms
-    X = mesh.element_points(rq)
-    flatX = X.reshape(-1, 2)
-    avals = prob.velocity_at(flatX).reshape(ne, -1)
     G = np.einsum("qid,edc->eqic", gref, mesh.Jinv)
     conv = G[:, :, :, 0] + avals[:, :, None] * G[:, :, :, 1]
     wdet = rw[None, :] * mesh.detJ[:, None]
     elem_A = -_einsum("eq,eqi,qj->eij", wdet, conv, phi)
     elem_A += nu * _einsum("eq,eqi,eqj->eij", wdet, G[:, :, :, 1],
                            G[:, :, :, 1])
-    if prob.source is not None:
-        fvals = np.asarray(prob.source(flatX), dtype=float).reshape(ne, -1)
-        elem_F = _einsum("eq,eq,qi->ei", wdet, fvals, phi)
-    else:
-        elem_F = np.zeros((ne, nV))
 
     elem_B = np.zeros((ne, 3, nV, nM))
     elem_C = np.zeros((ne, 3, nM, nV))
     D_blocks = np.zeros((nf, nM, nM))
-    G_blocks = np.zeros((nf, nM))
+    dirichlet, neumann = [], []
     # tmin (inflow data), tmax (vacuous outflow) and the problem's Neumann
     # sides couple a trace; every other boundary facet is Dirichlet
     on_neumann = np.isin(mesh.boundary_sides, [
@@ -269,12 +341,9 @@ def assemble_blocks(mesh, p, prob):
 
     for (la, lb), (fids, kids, locs, sides) in _facet_side_groups(mesh).items():
         TV, TGref = traces[(la, lb)]
-        pa = mesh.vertices[mesh.facets[fids, 0]]
-        pb = mesh.vertices[mesh.facets[fids, 1]]
-        Xf = pa[:, None, :] + sseg[None, :, None] * (pb - pa)[:, None, :]
         L = mesh.facet_lengths[fids]
         n = mesh.facet_normals[fids, sides]
-        af = prob.velocity_at(Xf.reshape(-1, 2)).reshape(len(fids), -1)
+        af = afacets[fids]
         an = n[:, 0:1] + af * n[:, 1:2]
         apl = np.maximum(an, 0.0)
         ami = np.minimum(an, 0.0)
@@ -308,31 +377,15 @@ def assemble_blocks(mesh, p, prob):
             np.add.at(D_blocks, fids[nd],
                       _einsum("mq,qn,qk->mnk", wD, psi, psi))
         if is_dir.any():
-            if prob.dirichlet is None:
-                raise ValueError("problem has Dirichlet facets but no dirichlet data")
-            gd = np.asarray(prob.dirichlet(Xf[is_dir].reshape(-1, 2)),
-                            dtype=float).reshape(is_dir.sum(), -1)
-            lift = _einsum("mq,mq,qi->mi", wmi[is_dir], gd, TV)
-            lift += nu * _einsum("mq,mq,mqi->mi", wnx[is_dir], gd, Gxt[is_dir])
-            np.add.at(elem_F, kids[is_dir], -lift)
-        # inflow-like and final facets: outflow stabilization + data, the
-        # tmin rows from ``initial`` when the problem gives it
+            dirichlet.append((TV, fids[is_dir], kids[is_dir], wmi[is_dir],
+                              wnx[is_dir], Gxt[is_dir]))
+        # inflow-like and final facets: outflow stabilization here, their
+        # data in the load
         is_neu = on_neumann[fids]
         if is_neu.any():
             np.add.at(D_blocks, fids[is_neu],
                       _einsum("mq,qn,qk->mnk", (w2 * apl)[is_neu], psi, psi))
-            Xn = Xf[is_neu]
-            gn = np.zeros(Xn.shape[:2])
-            if prob.neumann is not None:
-                nn = np.repeat(n[is_neu][:, None, :], len(sseg), axis=1)
-                gn[:] = np.reshape(
-                    prob.neumann(Xn.reshape(-1, 2), nn.reshape(-1, 2)), gn.shape)
-            bottom = mesh.boundary_sides[fids[is_neu]] == _SIDE_ID["tmin"]
-            if prob.initial is not None and bottom.any():
-                gn[bottom] = np.reshape(prob.initial(Xn[bottom].reshape(-1, 2)),
-                                        (bottom.sum(), -1))
-            np.add.at(G_blocks, fids[is_neu],
-                      _einsum("mq,mq,qn->mn", w2[is_neu], gn, psi))
+            neumann.append((fids[is_neu], n[is_neu], w2[is_neu]))
 
     coupled = np.nonzero((mesh.facet_elems[:, 1] >= 0) | on_neumann)[0]
 
@@ -343,7 +396,6 @@ def assemble_blocks(mesh, p, prob):
     scale = np.abs(D_blocks).max() if nf else 0.0
     loose = coupled[np.abs(D_blocks[coupled]).max(axis=(1, 2)) <= 1e-12 * scale]
     D_blocks[loose] = np.eye(nM)
-    G_blocks[loose] = 0.0
     ks, locs = mesh.facet_elems[loose], mesh.facet_locals[loose]
     has = ks >= 0
     elem_B[ks[has], locs[has]] = 0.0
@@ -351,16 +403,70 @@ def assemble_blocks(mesh, p, prob):
 
     facet_block = np.full(nf, -1, dtype=np.int64)
     facet_block[coupled] = np.arange(len(coupled))
-    elem_facet_block = facet_block[mesh.elem_facets]
-    return BlockSystem(mesh=mesh, nV=nV, facet_block_size=nM,
-                       elem_A=elem_A, elem_F=elem_F, elem_B=elem_B, elem_C=elem_C,
-                       elem_facet_block=elem_facet_block,
-                       D=validate_csr(block_diag_csr(D_blocks[coupled])),
-                       G=G_blocks[coupled].ravel(), coupled_facets=coupled)
+    return BlockOperator(mesh=mesh, p=p, nV=nV, facet_block_size=nM,
+                         elem_A=elem_A, elem_B=elem_B, elem_C=elem_C,
+                         elem_facet_block=facet_block[mesh.elem_facets],
+                         D=validate_csr(block_diag_csr(D_blocks[coupled])),
+                         coupled_facets=coupled, loose_facets=loose,
+                         dirichlet=dirichlet, neumann=neumann)
+
+
+def assemble_load(op, mesh, prob):
+    """The load part of assembly: ``(elem_F, G)`` for the data of ``prob``.
+
+    ``elem_F`` holds the source and the Dirichlet lift, ``G`` the data on
+    the Neumann-like facets (``prob.initial`` on those labelled ``tmin``
+    when the problem gives it), zero on loose facets.  ``op`` may come
+    from another mesh whose :func:`operator_key` under ``prob`` equals
+    ``mesh``'s: the data is taken at ``mesh``'s points, everything else
+    from ``op``.
+    """
+    rq, rw, phi, _, sseg, _, psi, _ = _tables(op.p)
+    nu = float(prob.nu)
+    ne = mesh.n_elements
+    if prob.source is not None:
+        X = mesh.element_points(rq).reshape(-1, 2)
+        fvals = np.asarray(prob.source(X), dtype=float).reshape(ne, -1)
+        wdet = rw[None, :] * mesh.detJ[:, None]
+        elem_F = _einsum("eq,eq,qi->ei", wdet, fvals, phi)
+    else:
+        elem_F = np.zeros((ne, op.nV))
+    for TV, fids, kids, wmi, wnx, Gxt in op.dirichlet:
+        if prob.dirichlet is None:
+            raise ValueError("problem has Dirichlet facets but no dirichlet data")
+        Xd = _facet_points(mesh, fids, sseg)
+        gd = np.asarray(prob.dirichlet(Xd.reshape(-1, 2)),
+                        dtype=float).reshape(len(fids), -1)
+        lift = _einsum("mq,mq,qi->mi", wmi, gd, TV)
+        lift += nu * _einsum("mq,mq,mqi->mi", wnx, gd, Gxt)
+        np.add.at(elem_F, kids, -lift)
+
+    G_blocks = np.zeros((mesh.n_facets, op.facet_block_size))
+    for fids, n, w2 in op.neumann:
+        Xn = _facet_points(mesh, fids, sseg)
+        gn = np.zeros(Xn.shape[:2])
+        if prob.neumann is not None:
+            nn = np.repeat(n[:, None, :], len(sseg), axis=1)
+            gn[:] = np.reshape(
+                prob.neumann(Xn.reshape(-1, 2), nn.reshape(-1, 2)), gn.shape)
+        bottom = mesh.boundary_sides[fids] == _SIDE_ID["tmin"]
+        if prob.initial is not None and bottom.any():
+            gn[bottom] = np.reshape(prob.initial(Xn[bottom].reshape(-1, 2)),
+                                    (bottom.sum(), -1))
+        np.add.at(G_blocks, fids, _einsum("mq,mq,qn->mn", w2, gn, psi))
+    G_blocks[op.loose_facets] = 0.0
+    return elem_F, G_blocks[op.coupled_facets].ravel()
 
 
 def condense(bs):
-    """Eliminate element unknowns; return the facet Schur system."""
+    """Eliminate element unknowns; return the facet Schur system: its
+    operator part, then its load (:func:`condense_load`)."""
+    op = _condense_operator(bs)
+    return CondensedSystem(**vars(op), elem_F=bs.elem_F,
+                           H=condense_load(bs, op, bs.elem_F, bs.G))
+
+
+def _condense_operator(bs):
     ne, nV, nM = len(bs.elem_A), bs.nV, bs.facet_block_size
     Ainv = np.linalg.inv(bs.elem_A)
     resid = np.abs(np.matmul(bs.elem_A, Ainv) - np.eye(nV)).max(axis=(1, 2))
@@ -371,9 +477,7 @@ def condense(bs):
     Brect = np.transpose(bs.elem_B, (0, 2, 1, 3)).reshape(ne, nV, 3 * nM)
     Crect = bs.elem_C.reshape(ne, 3 * nM, nV)
     AinvB = np.matmul(Ainv, Brect)
-    AinvF = np.matmul(Ainv, bs.elem_F[:, :, None])[:, :, 0]
     Sloc = np.matmul(Crect, AinvB)
-    Hloc = np.matmul(Crect, AinvF[:, :, None])[:, :, 0]
 
     gather = np.where(bs.elem_facet_block >= 0,
                       bs.elem_facet_block * nM, -1)[:, :, None] + np.arange(nM)
@@ -385,12 +489,23 @@ def condense(bs):
     rows = np.broadcast_to(gather[:, :, None], Sloc.shape)[pair]
     cols = np.broadcast_to(gather[:, None, :], Sloc.shape)[pair]
     S = bs.D + sp.coo_matrix((-Sloc[pair], (rows, cols)), shape=(nL, nL)).tocsr()
-    H = bs.G.copy()
-    np.subtract.at(H, gather[valid], Hloc[valid])
-    return CondensedSystem(S=validate_csr(S), H=H, facet_block_size=nM,
-                           mesh=bs.mesh, elem_Ainv=Ainv, elem_Brect=Brect,
-                           elem_F=bs.elem_F, gather_index=gather,
-                           coupled_facets=bs.coupled_facets)
+    return CondensedOperator(S=validate_csr(S), facet_block_size=nM,
+                             mesh=bs.mesh, elem_Ainv=Ainv, elem_Brect=Brect,
+                             gather_index=gather,
+                             coupled_facets=bs.coupled_facets)
+
+
+def condense_load(bo, co, elem_F, G):
+    """The load part of condensation: ``H = G - C A^{-1} F``, with ``C``
+    from the operator part ``bo`` and the element solves of its
+    condensation ``co``."""
+    ne, nV = elem_F.shape
+    AinvF = np.matmul(co.elem_Ainv, elem_F[:, :, None])[:, :, 0]
+    Hloc = np.matmul(bo.elem_C.reshape(ne, -1, nV), AinvF[:, :, None])[:, :, 0]
+    valid = co.gather_index >= 0
+    H = G.copy()
+    np.subtract.at(H, co.gather_index[valid], Hloc[valid])
+    return H
 
 
 def reconstruct(cs, lam):

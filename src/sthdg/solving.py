@@ -9,10 +9,13 @@ slab's top trace to the next slab as the data on its ``tmin`` facets
 
 A solve has two steps.  :func:`prepare_operator` scales ``S`` and builds
 the hierarchy; :func:`solve_condensed` scales one ``H`` with the kept
-block inverses, iterates and reconstructs.  A slab march prepares again
-only when a slab's ``S`` differs from the last prepared one in shape,
-block size or any entry of its CSR arrays, so a march on a domain that
-does not change in time sets up once.
+block inverses, iterates and reconstructs.  A slab march keys each slab
+on the inputs of its operator (:func:`~sthdg.hdg.operator_key`: element
+maps, facet geometry, side labels, topology and velocity values).  A
+slab whose key equals the last fully assembled slab's forms only its
+load (``elem_F``, ``G`` and ``H``) and reuses that slab's condensed and
+prepared operator, so a march on a domain that does not change in time
+assembles, condenses and sets up once.
 
 This module is also the one stage clock: every solve returns a
 ``timings`` dict of wall seconds per stage, named after the call it
@@ -31,8 +34,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from .air import RELAXATIONS, build_hierarchy
-from .hdg import (assemble_blocks, condense, line_trace_evaluator, reconstruct,
-                  st_l2_error)
+from .hdg import (assemble_blocks, assemble_load, condense, condense_load,
+                  line_trace_evaluator, operator_key, reconstruct, st_l2_error)
 from .krylov import SolverFailure, bicgstab
 from .mesh import extract_slab
 from .sparsela import block_diag_inverse_scale
@@ -111,7 +114,6 @@ class PreparedOperator:
     """
 
     S: object
-    block_size: int
     scaling: object  # BlockDiagonalScaling or None
     hierarchy: object
 
@@ -123,14 +125,6 @@ class PreparedOperator:
     def scale(self, H):
         """The right-hand side the iteration sees."""
         return H if self.scaling is None else self.scaling.apply(H)
-
-    def serves(self, cs):
-        """Whether ``cs`` has exactly this operator: equal CSR arrays."""
-        S, T = cs.S, self.S
-        return (cs.facet_block_size == self.block_size and S.shape == T.shape
-                and np.array_equal(S.indptr, T.indptr)
-                and np.array_equal(S.indices, T.indices)
-                and np.array_equal(S.data, T.data))
 
 
 @dataclass
@@ -156,7 +150,7 @@ def prepare_operator(cs, params, timings):
         hierarchy = build_hierarchy(
             cs.S if scaling is None else scaling.matrix, params.theta_c,
             params.theta_r, params.relaxation, cs.facet_block_size)
-    return PreparedOperator(cs.S, cs.facet_block_size, scaling, hierarchy)
+    return PreparedOperator(cs.S, scaling, hierarchy)
 
 
 def solve_condensed(cs, params=None, callback=None, operator=None):
@@ -229,13 +223,14 @@ def solve_problem(mesh, p, prob, params=None):
     all_at_once: one global condensed solve; returns a CondensedSolve.
     slab: sequential per-slab solves; from the second slab on, the
     problem's ``initial`` is the previous slab's top trace.  Returns a
-    SlabSolution.  A slab whose condensed ``S`` equals, entry for entry,
-    the one the last :class:`PreparedOperator` came from is solved with
-    that operator; otherwise a new one is prepared.  ``params`` are fixed
-    for the call, so they need no part in that comparison.  Either
-    result's ``timings`` books every stage of the call, summed over all
-    slabs in slab mode (block scaling and AIR setup once per prepared
-    operator).
+    SlabSolution.  A slab whose :func:`~sthdg.hdg.operator_key` (the bytes
+    of every input of its operator, not the assembled ``S``) equals that
+    of the last slab assembled in full forms only its load and is solved
+    with that slab's condensed and prepared operator; any other slab is
+    assembled, condensed and prepared in full.  ``params`` are fixed for
+    the call, so they need no part in that comparison.  Either result's
+    ``timings`` books every stage of the call, summed over all slabs in
+    slab mode (block scaling and AIR setup once per prepared operator).
     """
     params = params or SolverParams()
     if mesh.mode != "slab":
@@ -248,13 +243,23 @@ def solve_problem(mesh, p, prob, params=None):
     timings = Counter()
     slabs = []
     transfer = None
-    operator = None
+    key = None
     for n in range(mesh.n_slabs):
         with timed(timings, "mesh.extract_slab"):
             sub, _, _ = extract_slab(mesh, n)
         sprob = prob if transfer is None else replace(prob, initial=transfer)
-        cs = _condensed(sub, p, sprob, timings)
-        if operator is None or not operator.serves(cs):
+        with timed(timings, "hdg.assemble"):
+            held, key = key, operator_key(sub, p, sprob)
+            reuse = key == held
+            if reuse:
+                elem_F, G = assemble_load(blocks, sub, sprob)
+            else:
+                blocks = assemble_blocks(sub, p, sprob)
+        with timed(timings, "hdg.condense"):
+            cs = (replace(cs, mesh=sub, elem_F=elem_F,
+                          H=condense_load(blocks, cs, elem_F, G))
+                  if reuse else condense(blocks))
+        if not reuse:
             operator = prepare_operator(cs, params, timings)
         sol = solve_condensed(cs, params, operator=operator)
         timings.update(sol.timings)
