@@ -49,6 +49,7 @@ from .amr import amr_loop
 from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
+from .mesh import MODES as _MODES
 from .solving import (SolverParams, accepted, prepare_operator,
                       solve_condensed, solve_problem, timed)
 from .sparsela import BlockDiagonalScaling, write_matrix_market
@@ -58,7 +59,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
            "run_relaxcompare", "run_ordercheck", "run_export",
            "defaults_text"]
 
-_MODES = ("all_at_once", "slab")
 _CASES = ("pulse1d", "layer1d", "polyexact")
 
 # INI section of every setting, in the order ``sthdg defaults`` prints
@@ -146,6 +146,10 @@ class ExperimentConfig:
             raise ConfigError(f"[experiment] mode: must be one of {_MODES}")
         if self.p < 1:
             raise ConfigError("[experiment] p: must be >= 1")
+        try:  # the case itself knows the degrees it supports
+            case_by_name(self.case, p=self.p)
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] p: {exc}") from exc
         if not self.ladder:
             raise ConfigError("[experiment] ladder: must be nonempty")
         self.ladder = tuple((int(a), int(b)) for a, b in self.ladder)

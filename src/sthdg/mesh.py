@@ -13,10 +13,10 @@ newest vertex and the refinement edge is (v1, v2).  The initial grid
 assigns peaks at the right-angle corners, so all refinement edges are
 anti-diagonal hypotenuses and the initial mesh is compatibly divisible.
 
-Boundary facets carry a side label (``tmin``, ``tmax``, ``xlo``, ``xhi``)
-recorded at construction and inherited under deformation and refinement.
-The mesh holds geometry and side labels only: which condition a side
-carries is the problem's to say (:func:`sthdg.hdg.assemble_blocks`).
+Boundary facets carry a side label (``tmin``, ``tmax``, ``xlo``, ``xhi``),
+kept per facet in ``boundary_sides`` and inherited under deformation and
+refinement.  The mesh holds geometry and side labels only: which condition
+a side carries is the problem's to say (:func:`sthdg.hdg.assemble_blocks`).
 
 Facet numbering is a contract: facets are the sorted vertex pairs in
 lexicographic order, whatever the element order, and side 0 of a facet is
@@ -41,9 +41,11 @@ __all__ = [
     "validate_mesh",
     "write_mesh",
     "read_mesh",
+    "MODES",
     "SIDE_NAMES",
 ]
 
+MODES = ("all_at_once", "slab")
 SIDE_NAMES = ("tmin", "tmax", "xlo", "xhi")
 _SIDE_ID = {name: i for i, name in enumerate(SIDE_NAMES)}
 
@@ -61,11 +63,13 @@ class SpaceTimeMesh:
     elements : ndarray (ne, 3)
         Vertex indices, positively oriented, peak-first.
     slab_index : ndarray (ne,)
-        Time-slab index of each element.
-    side_of_edge : dict
-        Maps sorted boundary vertex pairs to side ids (see SIDE_NAMES).
+        Time-slab index of each element; ``n_slabs`` is its maximum + 1.
+    boundary : (pairs, sides)
+        Side labels: sorted vertex pairs (nb, 2) and their side ids (nb,)
+        (see SIDE_NAMES).  Every boundary facet needs a label; labels on
+        other pairs are ignored.  :meth:`boundary` returns those kept.
     mode : str
-        "all_at_once" or "slab".
+        One of MODES, "all_at_once" or "slab".
     box : tuple
         (t0, tN, xlo, xhi) of the undeformed bounding box.
 
@@ -86,20 +90,19 @@ class SpaceTimeMesh:
     - ``boundary_sides`` (nf,): side id, -1 for interior facets.
     """
 
-    def __init__(self, vertices, elements, slab_index, side_of_edge, mode, box,
-                 n_slabs):
+    def __init__(self, vertices, elements, slab_index, boundary, mode, box):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         self.vertices = np.asarray(vertices, dtype=float)
         self.elements = np.asarray(elements, dtype=np.int64)
         self.slab_index = np.asarray(slab_index, dtype=np.int64)
-        self.side_of_edge = dict(side_of_edge)
         self.mode = mode
         self.box = tuple(float(v) for v in box)
-        self.n_slabs = int(n_slabs)
-        self._build_connectivity()
+        self._build_connectivity(*boundary)
 
     # -- construction ---------------------------------------------------
 
-    def _build_connectivity(self):
+    def _build_connectivity(self, pairs, sides):
         v, e = self.vertices, self.elements
         ne = len(e)
         if self.slab_index.shape != (ne,):
@@ -154,8 +157,8 @@ class SpaceTimeMesh:
 
         # side labels looked up by the same keys
         bnd = np.nonzero(self.facet_elems[:, 1] < 0)[0]
-        labeled = np.array(list(self.side_of_edge), dtype=np.int64).reshape(-1, 2)
-        label = np.fromiter(self.side_of_edge.values(), np.int64, len(labeled))
+        labeled = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        label = np.asarray(sides, dtype=np.int64).reshape(-1)
         ok = np.all((labeled >= 0) & (labeled < nv), axis=1)
         lkeys = labeled[ok, 0] * nv + labeled[ok, 1]
         lorder = np.argsort(lkeys)
@@ -183,6 +186,16 @@ class SpaceTimeMesh:
     @property
     def n_facets(self):
         return len(self.facets)
+
+    @property
+    def n_slabs(self):
+        return int(self.slab_index.max()) + 1
+
+    def boundary(self):
+        """The side labels ``(pairs, sides)``: the boundary facets' vertex
+        pairs (nb, 2) in facet order and their side ids (nb,)."""
+        bnd = self.boundary_sides >= 0
+        return self.facets[bnd], self.boundary_sides[bnd]
 
     def element_points(self, ref):
         """Images (ne, nq, 2) of reference points ``ref`` (nq, 2) under every
@@ -236,8 +249,6 @@ def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
     """
     if nx < 1 or nt < 1:
         raise ValueError("nx and nt must be positive")
-    if mode not in ("all_at_once", "slab"):
-        raise ValueError(f"unknown mode {mode!r}")
     t0, tN, xlo, xhi = (float(v) for v in box)
     if not (tN > t0 and xhi > xlo):
         raise ValueError("box must have positive extent")
@@ -259,17 +270,14 @@ def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
                             np.stack([left, left + nx], axis=1)]).reshape(-1, 2)
     sides = np.concatenate([np.tile([_SIDE_ID["tmin"], _SIDE_ID["tmax"]], nx),
                             np.tile([_SIDE_ID["xlo"], _SIDE_ID["xhi"]], nt)])
-    side_of_edge = dict(zip(map(tuple, pairs.tolist()), sides.tolist()))
-    return SpaceTimeMesh(verts, elems, slabs, side_of_edge, mode, box,
-                         n_slabs=nt)
+    return SpaceTimeMesh(verts, elems, slabs, (pairs, sides), mode, box)
 
 
 def deform_mesh(mesh, deformation):
     """Apply a :class:`DeformationMap` to the mesh vertices; topology and
     labels stay."""
     return SpaceTimeMesh(deformation(mesh.vertices), mesh.elements,
-                         mesh.slab_index, mesh.side_of_edge, mesh.mode,
-                         mesh.box, n_slabs=mesh.n_slabs)
+                         mesh.slab_index, mesh.boundary(), mesh.mode, mesh.box)
 
 
 def bisect_refine(mesh, marked):
@@ -281,7 +289,7 @@ def bisect_refine(mesh, marked):
     verts = [tuple(v) for v in mesh.vertices]
     elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
     slab = {i: int(mesh.slab_index[i]) for i in range(mesh.n_elements)}
-    side = dict(mesh.side_of_edge)
+    side = {(a, b): s for (a, b), s in zip(*(x.tolist() for x in mesh.boundary()))}
     next_id = mesh.n_elements
 
     edge2elems = {}
@@ -369,8 +377,8 @@ def bisect_refine(mesh, marked):
     ids = sorted(elems)
     new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
     new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
-    return SpaceTimeMesh(np.asarray(verts), new_elems, new_slab, side,
-                         mesh.mode, mesh.box, n_slabs=mesh.n_slabs)
+    return SpaceTimeMesh(np.asarray(verts), new_elems, new_slab,
+                         (list(side), list(side.values())), mesh.mode, mesh.box)
 
 
 def extract_slab(mesh, n):
@@ -379,18 +387,16 @@ def extract_slab(mesh, n):
     Facets that were interior in the parent become boundary facets of the
     slab mesh: the interface to slab n-1 is labeled ``tmin`` (inflow-like
     Neumann carrying transferred data) and the interface to slab n+1 is
-    labeled ``tmax``.  Returns ``(slab_mesh, elem_ids, vertex_ids)`` with
-    the parent ids of the slab's elements and vertices.
+    labeled ``tmax``.  The slab mesh keeps the parent's element and vertex
+    order, and its ``slab_index`` is ``n`` throughout.
     """
-    keep = np.nonzero(mesh.slab_index == n)[0]
-    if len(keep) == 0:
+    in_slab = mesh.slab_index == n
+    if not in_slab.any():
         raise ValueError(f"slab {n} is empty")
-    vids = np.unique(mesh.elements[keep].ravel())
+    elems = mesh.elements[in_slab]
+    vids = np.unique(elems)
     vmap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vmap[vids] = np.arange(len(vids))
-    sub_elems = vmap[mesh.elements[keep]]
-    in_slab = np.zeros(mesh.n_elements, dtype=bool)
-    in_slab[keep] = True
     fe = mesh.facet_elems
     inside = (fe >= 0) & in_slab[fe]
     f = np.nonzero(inside[:, 0] != inside[:, 1])[0]  # facets on the slab boundary
@@ -398,13 +404,9 @@ def extract_slab(mesh, n):
     sid = np.where(other < 0, mesh.boundary_sides[f],
                    np.where(mesh.slab_index[other] < n,
                             _SIDE_ID["tmin"], _SIDE_ID["tmax"]))
-    ab = vmap[mesh.facets[f]]
-    side = dict(zip(zip(ab.min(axis=1).tolist(), ab.max(axis=1).tolist()),
-                    sid.tolist()))
-    sub = SpaceTimeMesh(mesh.vertices[vids], sub_elems,
-                        np.full(len(keep), n, dtype=np.int64), side,
-                        "slab", mesh.box, n_slabs=mesh.n_slabs)
-    return sub, keep, vids
+    # vmap is increasing, so the pairs stay sorted
+    return SpaceTimeMesh(mesh.vertices[vids], vmap[elems], mesh.slab_index[in_slab],
+                         (vmap[mesh.facets[f]], sid), "slab", mesh.box)
 
 
 def validate_mesh(mesh, tol=1e-12):
@@ -494,17 +496,17 @@ def write_mesh(mesh, path_or_stream):
         np.savetxt(f, mesh.vertices, fmt="%.17g")
         f.write(f"elements {mesh.n_elements}\n")
         np.savetxt(f, np.column_stack([mesh.elements, mesh.slab_index]), fmt="%d")
-        items = sorted(mesh.side_of_edge.items())
-        f.write(f"boundary {len(items)}\n")
-        for (a, b), s in items:
-            f.write("%d %d %s\n" % (a, b, SIDE_NAMES[s]))
+        pairs, sides = mesh.boundary()
+        f.write(f"boundary {len(sides)}\n")
+        np.savetxt(f, np.column_stack([pairs, np.array(SIDE_NAMES)[sides]]), fmt="%s")
 
 
 def read_mesh(path_or_stream):
     """Inverse of :func:`write_mesh`; coordinates round-trip exactly.
 
     Version 1 files, which carried a ``classified`` line after
-    ``nslabs``, are read by skipping that line.
+    ``nslabs``, are read by skipping that line.  An ``nslabs`` line that
+    disagrees with the slab column is a ``ValueError``.
     """
     with _opened(path_or_stream, "r") as f:
         header = f.readline().split()
@@ -520,9 +522,10 @@ def read_mesh(path_or_stream):
         ne = int(f.readline().split()[1])
         rows = np.loadtxt(f, dtype=np.int64, max_rows=ne, ndmin=2)
         nb = int(f.readline().split()[1])
-        side = {}
-        for _ in range(nb):
-            a, b, name = f.readline().split()
-            side[(int(a), int(b))] = _SIDE_ID[name]
-    return SpaceTimeMesh(verts, rows[:, :3], rows[:, 3], side, mode, box,
-                         n_slabs=n_slabs)
+        labels = np.loadtxt(f, dtype=np.int64, max_rows=nb, ndmin=2,
+                            converters={2: _SIDE_ID.__getitem__})
+    mesh = SpaceTimeMesh(verts, rows[:, :3], rows[:, 3],
+                         (labels[:, :2], labels[:, 2]), mode, box)
+    if mesh.n_slabs != n_slabs:
+        raise ValueError(f"nslabs {n_slabs} disagrees with the slab column")
+    return mesh

@@ -108,19 +108,14 @@ class SolverParams:
 class PreparedOperator:
     """One condensed operator made ready to solve with, for any ``H``.
 
-    ``S`` is the condensed matrix it was built from, ``scaling`` its left
-    block scaling (None without one) and ``hierarchy`` the AIR hierarchy
-    on :attr:`matrix`.
+    ``matrix`` is the operator the iteration sees: the condensed ``S``
+    after its left block ``scaling`` (None without one, and then ``S``
+    itself).  ``hierarchy`` is the AIR hierarchy on ``matrix``.
     """
 
-    S: object
+    matrix: object
     scaling: object  # BlockDiagonalScaling or None
     hierarchy: object
-
-    @property
-    def matrix(self):
-        """The operator the iteration sees."""
-        return self.S if self.scaling is None else self.scaling.matrix
 
     def scale(self, H):
         """The right-hand side the iteration sees."""
@@ -146,11 +141,11 @@ def prepare_operator(cs, params, timings):
     with timed(timings, "sparsela.block_scaling"):
         scaling = (block_diag_inverse_scale(cs.S, cs.facet_block_size)
                    if params.scale_blocks else None)
+    matrix = cs.S if scaling is None else scaling.matrix
     with timed(timings, "air.setup"):
-        hierarchy = build_hierarchy(
-            cs.S if scaling is None else scaling.matrix, params.theta_c,
-            params.theta_r, params.relaxation, cs.facet_block_size)
-    return PreparedOperator(cs.S, scaling, hierarchy)
+        hierarchy = build_hierarchy(matrix, params.theta_c, params.theta_r,
+                                    params.relaxation, cs.facet_block_size)
+    return PreparedOperator(matrix, scaling, hierarchy)
 
 
 def solve_condensed(cs, params=None, callback=None, operator=None):
@@ -191,14 +186,12 @@ def solve_condensed(cs, params=None, callback=None, operator=None):
 
 @dataclass
 class SlabSolution:
-    mesh: object
     slabs: list  # (slab_mesh, CondensedSolve)
     timings: dict  # stage name -> wall seconds, summed over the march
 
     @property
     def iterations(self):
-        its = [s.iterations for _, s in self.slabs]
-        return max(its) if its else 0
+        return max(self.iteration_list, default=0)
 
     @property
     def iteration_list(self):
@@ -246,7 +239,7 @@ def solve_problem(mesh, p, prob, params=None):
     key = None
     for n in range(mesh.n_slabs):
         with timed(timings, "mesh.extract_slab"):
-            sub, _, _ = extract_slab(mesh, n)
+            sub = extract_slab(mesh, n)
         sprob = prob if transfer is None else replace(prob, initial=transfer)
         with timed(timings, "hdg.assemble"):
             held, key = key, operator_key(sub, p, sprob)
@@ -266,4 +259,4 @@ def solve_problem(mesh, p, prob, params=None):
         slabs.append((sub, sol))
         with timed(timings, "hdg.trace"):
             transfer = line_trace_evaluator(sub, p, sol.U)
-    return SlabSolution(mesh=mesh, slabs=slabs, timings=dict(timings))
+    return SlabSolution(slabs=slabs, timings=dict(timings))

@@ -96,7 +96,6 @@ class BlockDiagonalScaling:
         bad = np.nonzero(dets < 1e-14 * scale)[0]
         if len(bad):
             raise SingularBlockError(f"singular diagonal block(s) {bad.tolist()}")
-        self.block_size = b
         self.block_inverses = np.linalg.inv(dense)
         self._Dinv = block_diag_csr(self.block_inverses)
         self.matrix = validate_csr(self._Dinv @ A)

@@ -306,6 +306,24 @@ def test_cli_strength_threshold_out_of_range_exit_2(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
 
 
+def test_degree_the_case_lacks_is_a_config_error(tmp_path, capsys):
+    # polyexact has a fixed polynomial for degrees 1 to 3 only
+    with pytest.raises(ConfigError, match=r"^\[experiment\] p: "):
+        cfg(case="polyexact", p=4)
+    ini = tmp_path / "p4.ini"
+    ini.write_text("[experiment]\ncase = polyexact\np = 4\n")
+    with pytest.raises(ConfigError, match=r"^\[experiment\] p: "):
+        ExperimentConfig.from_ini(ini)
+    with pytest.raises(ConfigError, match=r"^\[experiment\] p: "):
+        ExperimentConfig.from_ini(overrides={"case": "polyexact", "p": "4"})
+    assert cfg(case="pulse1d", p=4).p == 4  # no fixed degree list there
+    out = tmp_path / "out"
+    code = main(["converge", "--case", "polyexact", "--p", "4", "--out", str(out)])
+    assert code == 2
+    assert "p: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["ladder = 0x4", "n0 = 0"])
 def test_cli_bad_mesh_size_exit_2(tmp_path, capsys, line):
     bad = tmp_path / "bad.ini"

@@ -43,7 +43,7 @@ def test_problem_neumann_sides_couple_on_any_mesh(mode, ns):
     if mode == "all_at_once":
         assert assemble_blocks(mesh, 2, prob).n_lambda == 324 + 18 * len(ns)
     else:
-        slab = extract_slab(mesh, 0)[0]
+        slab = extract_slab(mesh, 0)
         assert assemble_blocks(slab, 2, prob).n_lambda == 69 + 3 * len(ns)
     sol = solve_problem(mesh, 2, prob)
     err = (sol.error(2, prob.exact) if mode == "slab"

@@ -78,16 +78,24 @@ def test_repeated_refinement_stays_valid():
     assert np.isclose(areas_total, 1.0, atol=1e-12)
 
 
+def coords(m, pairs):
+    """The vertex coordinates of each row of ``pairs``, as tuples."""
+    return list(map(tuple, m.vertices[pairs].reshape(len(pairs), -1).tolist()))
+
+
 def test_extract_slab_partitions_elements():
     m = make(4, 3, mode="slab")
     assert m.n_slabs == 3
-    parent_side = dict(zip(map(tuple, m.facets.tolist()), m.boundary_sides))
-    seen = []
+    parent_side = dict(zip(coords(m, m.boundary()[0]), m.boundary()[1]))
+    corners = []
     for s in range(3):
-        sub, elem_ids, vids = extract_slab(m, s)
+        sub = extract_slab(m, s)
         validate_mesh(sub)
         assert sub.n_elements == 2 * 4
-        seen.extend(elem_ids.tolist())
+        assert np.all(sub.slab_index == s) and sub.n_slabs == s + 1
+        # the parent's slab s, element for element and in the parent's order
+        corners.append(sub.vertices[sub.elements])
+        assert np.array_equal(corners[-1], m.vertices[m.elements[m.slab_index == s]])
         # slab interfaces become inflow-like / final surfaces of the slab
         assert len(on_side(sub, "tmin")) == 4
         assert len(on_side(sub, "tmax")) == 4
@@ -98,9 +106,11 @@ def test_extract_slab_partitions_elements():
         # spatial sides are the parent's labels of the same facets
         spatial = sides >= SIDE_NAMES.index("xlo")
         assert np.count_nonzero(spatial) == 2  # one xlo, one xhi facet
-        for (a, b), sd in zip(vids[sub.facets[spatial]].tolist(), sides[spatial]):
-            assert parent_side[(a, b)] == sd
-    assert sorted(seen) == list(range(m.n_elements))
+        for key, sd in zip(coords(sub, sub.facets[spatial]), sides[spatial]):
+            assert parent_side[key] == sd
+    # every parent element lies in exactly one slab
+    by_slab = m.elements[np.argsort(m.slab_index, kind="stable")]
+    assert np.array_equal(np.concatenate(corners), m.vertices[by_slab])
 
 
 def test_mesh_io_roundtrip(tmp_path):
@@ -148,7 +158,8 @@ def test_mesh_io_reads_version_1():
     back = read_mesh(io.StringIO(MESH_V1))
     for name in ("vertices", "elements", "slab_index", "boundary_sides"):
         assert getattr(back, name).tobytes() == getattr(m, name).tobytes(), name
-    assert back.side_of_edge == m.side_of_edge
+    for a, b in zip(back.boundary(), m.boundary()):
+        assert a.tobytes() == b.tobytes()
     assert (back.mode, back.box, back.n_slabs) == (m.mode, m.box, m.n_slabs)
     buf = io.StringIO()
     write_mesh(back, buf)
@@ -162,18 +173,42 @@ def test_mesh_io_rejects_other_headers(header):
         read_mesh(io.StringIO(MESH_V1.replace("sthdg-mesh 1", header)))
 
 
+@pytest.mark.parametrize("line", ["nslabs 2", "nslabs 9"])
+def test_mesh_io_rejects_nslabs_other_than_the_slab_column(line):
+    # a march over such a mesh would solve 2 of its 8 slabs
+    buf = io.StringIO()
+    write_mesh(make(8, 8, mode="slab"), buf)
+    assert "\nnslabs 8\n" in buf.getvalue()
+    with pytest.raises(ValueError, match=rf"^{line} disagrees"):
+        read_mesh(io.StringIO(buf.getvalue().replace("nslabs 8", line)))
+
+
+def test_mesh_io_rejects_an_unknown_mode():
+    text = MESH_V1.replace("mode slab", "mode slabs")
+    with pytest.raises(ValueError, match="unknown mode 'slabs'"):
+        read_mesh(io.StringIO(text))
+
+
 # -- construction and validation errors ---------------------------------
 
 
-def unit_square(elements, side_of_edge):
+def unit_square(elements, boundary, mode="all_at_once"):
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     return SpaceTimeMesh(verts, elements, np.zeros(len(elements), dtype=int),
-                         side_of_edge, "all_at_once", (0.0, 1.0, 0.0, 1.0), 1)
+                         boundary, mode, (0.0, 1.0, 0.0, 1.0))
 
 
 def test_negatively_oriented_element_rejected():
     with pytest.raises(ValueError, match="element 1 is not positively oriented"):
-        unit_square([(0, 1, 2), (3, 1, 2)], {})
+        unit_square([(0, 1, 2), (3, 1, 2)], ([], []))
+
+
+@pytest.mark.parametrize("mode", ["slabs", "all", None])
+def test_unknown_mode_rejected(mode):
+    labels = ([(0, 1), (0, 2), (1, 3), (2, 3)], [0, 2, 3, 1])
+    assert unit_square([(0, 1, 2), (3, 2, 1)], labels).n_slabs == 1
+    with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+        unit_square([(0, 1, 2), (3, 2, 1)], labels, mode)
 
 
 def test_facet_shared_by_three_elements_rejected():
@@ -182,8 +217,8 @@ def test_facet_shared_by_three_elements_rejected():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.5, -1.0), (0.5, 2.0)]
     with pytest.raises(ValueError,
                        match=r"facet \(0, 1\) shared by more than two elements"):
-        SpaceTimeMesh(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 0, 0], {},
-                      "all_at_once", (0.0, 1.0, -1.0, 2.0), 1)
+        SpaceTimeMesh(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], [0, 0, 0],
+                      ([], []), "all_at_once", (0.0, 1.0, -1.0, 2.0))
 
 
 @pytest.mark.parametrize("alias", [False, True])
@@ -191,7 +226,7 @@ def test_unlabeled_boundary_facet_rejected(alias):
     # with alias, the label moves to an out-of-range pair whose key
     # lo * n_vertices + hi equals the facet's
     m = make(3, 2)
-    side = dict(m.side_of_edge)
+    side = dict(zip(map(tuple, m.boundary()[0].tolist()), m.boundary()[1].tolist()))
     key = sorted(side)[4]
     assert key[0] >= 1
     label = side.pop(key)
@@ -199,8 +234,8 @@ def test_unlabeled_boundary_facet_rejected(alias):
         side[(key[0] - 1, key[1] + m.n_vertices)] = label
     with pytest.raises(ValueError, match=rf"boundary facet \({key[0]}, {key[1]}\) "
                                          "has no side label"):
-        SpaceTimeMesh(m.vertices, m.elements, m.slab_index, side, m.mode, m.box,
-                      m.n_slabs)
+        SpaceTimeMesh(m.vertices, m.elements, m.slab_index,
+                      (list(side), list(side.values())), m.mode, m.box)
 
 
 def test_labeled_hanging_vertex_rejected_by_validate_mesh():
@@ -210,8 +245,9 @@ def test_labeled_hanging_vertex_rejected_by_validate_mesh():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
     side = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (1, 3): 3,
             (1, 2): 0, (1, 4): 0, (2, 4): 0}
-    m = SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0], side,
-                      "all_at_once", (0.0, 1.0, 0.0, 1.0), 1)
+    m = SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0],
+                      (list(side), list(side.values())), "all_at_once",
+                      (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(AssertionError, match="vertex 4 hangs on facet"):
         validate_mesh(m)
 
@@ -236,14 +272,19 @@ def random_meshes(draw):
     nx, nt = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     mode = draw(st.sampled_from(["all_at_once", "slab"]))
     m = make(nx, nt, mode=mode)
+    assert m.n_slabs == m.slab_index.max() + 1 == nt
     if draw(st.booleans()):
         m = deform_mesh(m, DeformationMap(draw(st.floats(0.0, 0.2))))
+        assert m.n_slabs == m.slab_index.max() + 1 == nt
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     for _ in range(draw(st.integers(0, 3))):
         m = bisect_refine(m, rng.choice(m.n_elements, size=int(
             rng.integers(1, m.n_elements + 1)), replace=False))
+        assert m.n_slabs == m.slab_index.max() + 1 == nt
     if draw(st.booleans()):
-        m, _, _ = extract_slab(m, draw(st.integers(0, m.n_slabs - 1)))
+        n = draw(st.integers(0, m.n_slabs - 1))
+        m = extract_slab(m, n)
+        assert m.n_slabs == m.slab_index.max() + 1 == n + 1
     return m
 
 
@@ -258,6 +299,6 @@ def test_mesh_io_roundtrip_exact(m):
         a, b = getattr(back, name), getattr(m, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-    assert back.side_of_edge == m.side_of_edge
-    assert sorted(back.side_of_edge.items()) == sorted(m.side_of_edge.items())
+    for a, b in zip(back.boundary(), m.boundary()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert (back.mode, back.box, back.n_slabs) == (m.mode, m.box, m.n_slabs)

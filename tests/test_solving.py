@@ -188,7 +188,7 @@ def oracle_march(mesh, p, prob, params):
     returns (blocks, condensed, solve) per slab."""
     out, transfer = [], None
     for n in range(mesh.n_slabs):
-        sub = extract_slab(mesh, n)[0]
+        sub = extract_slab(mesh, n)
         sprob = prob if transfer is None else replace(prob, initial=transfer)
         bs = assemble_blocks_oracle(sub, p, sprob)
         cs = condense_oracle(bs)
@@ -400,10 +400,10 @@ def nudged_velocity(point):
 def test_one_data_entry_apart_is_not_served():
     case = case_by_name("pulse1d", p=1, nu=1e-2)
     mesh = build_case_mesh(case, NX, NT, mode="slab")
-    sub, _, _ = extract_slab(mesh, 0)
+    sub = extract_slab(mesh, 0)
     key = operator_key(sub, 1, case.prob)
     assert operator_key(copy.copy(sub), 1, case.prob) == key
-    assert operator_key(extract_slab(mesh, 1)[0], 1, case.prob) == key
+    assert operator_key(extract_slab(mesh, 1), 1, case.prob) == key
     # the data is no input of the operator
     assert operator_key(sub, 1, replace(case.prob, source=np.sin,
                                         initial=np.cos)) == key
@@ -428,12 +428,12 @@ def test_march_prepares_again_after_a_one_entry_change(monkeypatch):
     extract = sthdg.solving.extract_slab
 
     def extract_nudged(mesh, n):
-        sub, elems, verts = extract(mesh, n)
+        sub = extract(mesh, n)
         if n == 2:
             sub.Jinv = nudged(sub.Jinv)
-        return sub, elems, verts
+        return sub
 
-    point = extract_slab(mesh, 2)[0].element_points(_tables(1)[0])[0, 0]
+    point = extract_slab(mesh, 2).element_points(_tables(1)[0])[0, 0]
     for change in ("Jinv", "velocity"):
         prob = case.prob
         with monkeypatch.context() as m:

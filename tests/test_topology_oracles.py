@@ -5,8 +5,8 @@ arithmetic against the loops they replaced.
 from ``arange`` arithmetic, and ``SpaceTimeMesh`` numbers its facets
 with one ``np.unique`` of vertex-pair keys.  The nested grid loops and
 the dict-of-pairs connectivity loop they replaced are kept here as
-oracles; every connectivity array, the side labels (insertion order
-included) and the facet normals must match them bitwise.  The facet
+oracles; every connectivity array, the side labels (which the mesh
+returns in facet order) and the facet normals must match them bitwise.  The facet
 side groups of ``assemble_blocks`` set the order in which element
 blocks are accumulated, so they must match the per-side loop in group
 order, member order and dtype.  ``validate_mesh``'s conformity check
@@ -187,8 +187,14 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def labels(mesh):
+    """The mesh's side labels as the loop's dict of sorted vertex pairs."""
+    pairs, sides = mesh.boundary()
+    return dict(zip(map(tuple, pairs.tolist()), sides.tolist()))
+
+
 def assert_connectivity_matches_loop(mesh):
-    want = connectivity_loop(mesh.vertices, mesh.elements, mesh.side_of_edge)
+    want = connectivity_loop(mesh.vertices, mesh.elements, labels(mesh))
     want.update(element_maps_loop(mesh.vertices, mesh.elements))
     for name, arr in want.items():
         assert same_bits(getattr(mesh, name), arr), name
@@ -204,9 +210,8 @@ def test_build_st_mesh_matches_loop(nx, nt):
     assert same_bits(mesh.vertices, verts)
     assert same_bits(mesh.elements, elems)
     assert same_bits(mesh.slab_index, slabs)
-    assert list(mesh.side_of_edge.items()) == list(side.items())
-    assert all(type(a) is int and type(b) is int and type(s) is int
-               for (a, b), s in mesh.side_of_edge.items())
+    assert labels(mesh) == side
+    assert list(labels(mesh)) == sorted(side)
     assert_connectivity_matches_loop(mesh)
 
 
@@ -225,7 +230,7 @@ def test_every_slab_matches_loop():
     mesh = build_st_mesh(6, 5, mode="slab")
     mesh = bisect_refine(mesh, [0, 13, 29, 44])
     for n in range(mesh.n_slabs):
-        sub, _, _ = extract_slab(mesh, n)
+        sub = extract_slab(mesh, n)
         assert_connectivity_matches_loop(sub)
         validate_mesh(sub)
 
@@ -309,7 +314,7 @@ def layer_meshes():
     refined = bisect_refine(bisect_refine(uniform, [0, 7, 12, 30]), [3, 9, 21])
     slab = build_case_mesh(case, 4, 3, mode="slab")
     return case, [uniform, deform_mesh(uniform, DeformationMap(0.1)), refined,
-                  *(extract_slab(slab, n)[0] for n in range(slab.n_slabs))]
+                  *(extract_slab(slab, n) for n in range(slab.n_slabs))]
 
 
 def test_facet_side_groups_match_loop():
