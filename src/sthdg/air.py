@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .sparsela import DenseLU, csr_gather, validate_csr
+from .sparsela import DenseLU, csr_gather, unit_lower_solver, validate_csr
 
 __all__ = [
     "RELAXATIONS",
@@ -371,12 +371,12 @@ def _factored_solve(M, block_size):
 
     A pointwise M (``block_size`` 1) is lower triangular or diagonal and is
     stored as M = L D with L unit lower triangular, so a solve is one
-    forward substitution and a scaling.  This keeps nothing beyond M's own
-    entries, whereas a SuperLU factor holds storage sized for fill, many
-    times nnz(M); every level of every retained hierarchy holds its plans,
-    so that would multiply the solver's memory.  Block matrices are
-    factored by SuperLU in natural order, with partial pivoting inside
-    the diagonal blocks.
+    forward substitution (:func:`~sthdg.sparsela.unit_lower_solver`) and a
+    scaling.  This keeps nothing beyond M's own entries, whereas a SuperLU
+    factor holds storage sized for fill, many times nnz(M); every level of
+    every retained hierarchy holds its plans, so that would multiply the
+    solver's memory.  Block matrices are factored by SuperLU in natural
+    order, with partial pivoting inside the diagonal blocks.
     """
     if block_size > 1:
         lu = spla.splu(M.tocsc(), permc_spec="NATURAL",
@@ -388,12 +388,9 @@ def _factored_solve(M, block_size):
     dinv = 1.0 / d
     L = sp.csc_matrix(M, copy=True)
     L.data *= np.repeat(dinv, np.diff(L.indptr))  # column scaling: M D^{-1}
-
-    def solve(r):
-        return spla.spsolve_triangular(L, r, lower=True,
-                                       unit_diagonal=True) * dinv
-
-    return solve
+    L.sum_duplicates()  # canonical: each column's diagonal comes first
+    solve_l = unit_lower_solver(L)
+    return lambda r: solve_l(r) * dinv
 
 
 # -- hierarchy ----------------------------------------------------------

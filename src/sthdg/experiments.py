@@ -160,6 +160,8 @@ class ExperimentConfig:
         if self.cycles < 0:
             raise ConfigError("[experiment] cycles: must be >= 0")
         self.nus = tuple(float(v) for v in self.nus)
+        if not self.nus:
+            raise ConfigError("[experiment] nus: must be nonempty")
         if any(nu < 0 for nu in self.nus):
             raise ConfigError("[experiment] nus: viscosities must be >= 0")
         if not 0.0 < self.fraction <= 1.0:

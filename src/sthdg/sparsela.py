@@ -2,17 +2,30 @@
 
 Thin, contract-enforcing wrappers around numpy/scipy: CSR validation and
 entry lookup, block-diagonal CSR construction, block-diagonal scaling,
-guarded dense LU, and Matrix Market persistence with full-precision
-(17 significant digit) round-trip.
+guarded dense LU, unit lower triangular solves, and Matrix Market
+persistence with full-precision (17 significant digit) round-trip.
+
+The triangular solve runs in a small C kernel, compiled on first use by
+the system C compiler and cached in this package's ``__pycache__``;
+where none can be built, scipy's ``spsolve_triangular`` runs instead,
+with bitwise the same result.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "SingularBlockError",
@@ -22,6 +35,8 @@ __all__ = [
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
     "DenseLU",
+    "unit_lower_kernel",
+    "unit_lower_solver",
     "write_matrix_market",
     "read_matrix_market",
 ]
@@ -129,6 +144,94 @@ class DenseLU:
 
     def solve(self, b):
         return scipy.linalg.lu_solve((self._lu, self._piv), b)
+
+
+# -- unit lower triangular solve ----------------------------------------
+
+# Forward substitution by columns with a unit lower triangular CSC matrix
+# whose columns store their diagonal first (it is skipped, not read).  This
+# is the update, in the order, that SuperLU's dgstrs makes for one-column
+# supernodes, which is how scipy's spsolve_triangular hands L to it.
+_UNIT_LOWER_SOURCE = """\
+void unit_lower_solve(int n, const int *indptr, const int *indices,
+                      const double *data, double *x)
+{
+    for (int j = 0; j < n; ++j) {
+        double xj = x[j];
+        for (int p = indptr[j] + 1; p < indptr[j + 1]; ++p)
+            x[indices[p]] -= xj * data[p];
+    }
+}
+"""
+# no FMA contraction: xj * data[p] is rounded before the subtraction, as in dgstrs
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+@functools.cache
+def unit_lower_kernel():
+    """The compiled ``unit_lower_solve`` as a ctypes function, or None.
+
+    Built once by ``cc`` into this package's ``__pycache__``, under the
+    SHA-256 of the source and flags, and loaded from there by later
+    processes.  None where no compiler runs or the cache cannot be written.
+    """
+    key = hashlib.sha256("\0".join((_UNIT_LOWER_SOURCE,) + _CFLAGS).encode())
+    cache = Path(__file__).parent / "__pycache__"
+    lib = cache / f"unit_lower_{key.hexdigest()}.so"
+    try:
+        if not lib.exists():
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp],
+                               input=_UNIT_LOWER_SOURCE, text=True,
+                               capture_output=True, check=True)
+                os.replace(tmp, lib)  # atomic: a concurrent build is harmless
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(lib)).unit_lower_solve
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = [ctypes.c_int] + [ctypes.c_void_p] * 4
+    kernel.restype = None
+    return kernel
+
+
+def unit_lower_solver(L):
+    """Return ``r -> L^{-1} r`` for a unit lower triangular CSC matrix ``L``.
+
+    ``L`` must be square and canonical (sorted indices, no duplicates), every
+    column storing its diagonal first, as a lower triangular matrix with a
+    full diagonal does; the diagonal's values are taken to be 1.  Solves
+    run in :func:`unit_lower_kernel`, or by ``spsolve_triangular`` where
+    the kernel is not available; both give bitwise the same result.
+    """
+    n = L.shape[0]
+    indptr = L.indptr.astype(np.intc, copy=False)
+    indices = L.indices.astype(np.intc, copy=False)
+    if not (L.shape == (n, n) and L.has_canonical_format
+            and np.all(np.diff(indptr) > 0)
+            and np.array_equal(indices[indptr[:-1]], np.arange(n))):
+        raise ValueError("L must be square canonical CSC with every column's "
+                         "diagonal first")
+    kernel = unit_lower_kernel()
+    if kernel is None:
+        return lambda r: spla.spsolve_triangular(L, r, lower=True,
+                                                 unit_diagonal=True)
+    arrays = (indptr, indices, L.data.astype(np.float64, copy=False))
+    args = (n, *(a.ctypes.data for a in arrays))
+
+    def solve(r):
+        x = np.array(r, dtype=np.float64)  # contiguous: the kernel writes it
+        if x.shape != (n,):
+            raise ValueError(f"right-hand side must have shape ({n},)")
+        kernel(*args, x.ctypes.data)
+        return x
+
+    solve.arrays = arrays  # owns the buffers that ``args`` point into
+    return solve
 
 
 # -- Matrix Market persistence ------------------------------------------

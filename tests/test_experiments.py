@@ -54,6 +54,14 @@ def test_config_validation_errors():
             cfg(**{key: bad})
 
 
+def test_empty_nus_is_a_config_error():
+    # run_stagnation reads nus[0] and run_converge would write only a header
+    with pytest.raises(ConfigError, match=r"^\[experiment\] nus: "):
+        cfg(nus=())
+    with pytest.raises(ConfigError, match=r"^\[experiment\] nus: "):
+        ExperimentConfig.from_ini(overrides={"nus": ()})
+
+
 @pytest.mark.parametrize("key, bad", [
     ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("maxiter", 0),
     ("theta_c", 2.0), ("theta_r", -1.0), ("relaxation", "gauss"),
