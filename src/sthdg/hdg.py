@@ -115,11 +115,6 @@ class ProblemSpec:
             if s not in ("xlo", "xhi"):
                 raise ValueError(f"neumann_sides may only name spatial sides, got {s!r}")
 
-    def velocity_at(self, points):
-        if callable(self.velocity):
-            return np.asarray(self.velocity(points), dtype=float)
-        return np.full(len(points), float(self.velocity))
-
 
 @lru_cache(maxsize=None)
 def _tables(p: int):
@@ -149,9 +144,11 @@ def _einsum_path(subscripts, *shapes):
 def _einsum(subscripts, *operands):
     """``np.einsum(..., optimize=True)`` with the contraction path memoised
     on the subscripts and operand shapes.  The path depends on nothing
-    else, so the blocks are bitwise those of ``optimize=True``; the memo
-    saves the path search, 2-3 ms of a 64-element p=2 slab assembly that
-    takes 8-10 ms with it (2-core Xeon)."""
+    else, so the blocks are bitwise those of ``optimize=True``.  The memo
+    saves the path search, but ``np.einsum`` still parses the subscripts
+    on every call; :func:`assemble_load`, which a march runs on every
+    slab, therefore writes its contractions as the matrix products that
+    their paths run."""
     path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
 
@@ -186,12 +183,15 @@ def _facet_points(mesh, fids, s):
 
 def _velocities(mesh, p, prob):
     """The velocity at every element and every facet quadrature point,
-    (ne, nq) and (nf, nqf)."""
+    (ne, nq) and (nf, nqf).  A constant velocity is filled in without
+    the points."""
     rq, _, _, _, sseg, _, _, _ = _tables(p)
-    X = mesh.element_points(rq)
-    Xf = _facet_points(mesh, slice(None), sseg)
-    return (prob.velocity_at(X.reshape(-1, 2)).reshape(len(X), -1),
-            prob.velocity_at(Xf.reshape(-1, 2)).reshape(len(Xf), -1))
+    shapes = ((mesh.n_elements, len(rq)), (mesh.n_facets, len(sseg)))
+    if not callable(prob.velocity):
+        return tuple(np.full(shape, float(prob.velocity)) for shape in shapes)
+    points = (mesh.element_points(rq), _facet_points(mesh, slice(None), sseg))
+    return tuple(np.asarray(prob.velocity(X.reshape(-1, 2)), dtype=float).reshape(shape)
+                 for X, shape in zip(points, shapes))
 
 
 def operator_key(mesh, p, prob):
@@ -428,7 +428,7 @@ def assemble_load(op, mesh, prob):
         X = mesh.element_points(rq).reshape(-1, 2)
         fvals = np.asarray(prob.source(X), dtype=float).reshape(ne, -1)
         wdet = rw[None, :] * mesh.detJ[:, None]
-        elem_F = _einsum("eq,eq,qi->ei", wdet, fvals, phi)
+        elem_F = (wdet * fvals) @ phi
     else:
         elem_F = np.zeros((ne, op.nV))
     for TV, fids, kids, wmi, wnx, Gxt in op.dirichlet:
@@ -437,8 +437,8 @@ def assemble_load(op, mesh, prob):
         Xd = _facet_points(mesh, fids, sseg)
         gd = np.asarray(prob.dirichlet(Xd.reshape(-1, 2)),
                         dtype=float).reshape(len(fids), -1)
-        lift = _einsum("mq,mq,qi->mi", wmi, gd, TV)
-        lift += nu * _einsum("mq,mq,mqi->mi", wnx, gd, Gxt)
+        lift = (wmi * gd) @ TV
+        lift += nu * np.matmul((wnx * gd)[:, None, :], Gxt)[:, 0, :]
         np.add.at(elem_F, kids, -lift)
 
     G_blocks = np.zeros((mesh.n_facets, op.facet_block_size))
@@ -453,7 +453,7 @@ def assemble_load(op, mesh, prob):
         if prob.initial is not None and bottom.any():
             gn[bottom] = np.reshape(prob.initial(Xn[bottom].reshape(-1, 2)),
                                     (bottom.sum(), -1))
-        np.add.at(G_blocks, fids, _einsum("mq,mq,qn->mn", w2, gn, psi))
+        np.add.at(G_blocks, fids, (w2 * gn) @ psi)
     G_blocks[op.loose_facets] = 0.0
     return elem_F, G_blocks[op.coupled_facets].ravel()
 

@@ -64,7 +64,10 @@ def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
     r = prec(b)
     bnorm = np.linalg.norm(r)
     if bnorm == 0.0:
-        return x, SolveReport(True, 0, [(0, 0.0)], 0.0, reason="zero right-hand side")
+        # x = 0 is the answer only for b = 0; otherwise its true
+        # residual is the whole of b
+        return x, SolveReport(True, 0, [(0, 0.0)], 1.0 if np.any(b) else 0.0,
+                              reason="zero preconditioned right-hand side")
     rhat = r.copy()
     p = r.copy()
     rho = float(rhat @ r)

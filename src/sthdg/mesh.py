@@ -91,6 +91,12 @@ class SpaceTimeMesh:
     """
 
     def __init__(self, vertices, elements, slab_index, boundary, mode, box):
+        self._set_frame(vertices, elements, slab_index, mode, box)
+        self._build_connectivity(*boundary)
+
+    # -- construction ---------------------------------------------------
+
+    def _set_frame(self, vertices, elements, slab_index, mode, box):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.vertices = np.asarray(vertices, dtype=float)
@@ -98,9 +104,15 @@ class SpaceTimeMesh:
         self.slab_index = np.asarray(slab_index, dtype=np.int64)
         self.mode = mode
         self.box = tuple(float(v) for v in box)
-        self._build_connectivity(*boundary)
 
-    # -- construction ---------------------------------------------------
+    @classmethod
+    def _restricted(cls, vertices, elements, slab_index, mode, box, **derived):
+        """A mesh whose element maps and connectivity ``derived`` are given
+        rather than built (see :func:`extract_slab`)."""
+        mesh = cls.__new__(cls)
+        mesh._set_frame(vertices, elements, slab_index, mode, box)
+        vars(mesh).update(derived)
+        return mesh
 
     def _build_connectivity(self, pairs, sides):
         v, e = self.vertices, self.elements
@@ -389,24 +401,49 @@ def extract_slab(mesh, n):
     Neumann carrying transferred data) and the interface to slab n+1 is
     labeled ``tmax``.  The slab mesh keeps the parent's element and vertex
     order, and its ``slab_index`` is ``n`` throughout.
+
+    Its arrays are the parent's, restricted to the slab and renumbered:
+    the vertex, element and facet maps all increase, so the facets keep
+    their lexicographic order and the lower element id its side 0.  A
+    facet whose side 0 lies outside the slab moves its side 1 there.  The
+    result is bitwise the mesh the constructor would build from the
+    slab's vertices, elements and labels.
     """
     in_slab = mesh.slab_index == n
     if not in_slab.any():
         raise ValueError(f"slab {n} is empty")
-    elems = mesh.elements[in_slab]
-    vids = np.unique(elems)
-    vmap = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    vmap[vids] = np.arange(len(vids))
+    eids = np.flatnonzero(in_slab)
+    elems = mesh.elements[eids]
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[elems] = True
     fe = mesh.facet_elems
     inside = (fe >= 0) & in_slab[fe]
-    f = np.nonzero(inside[:, 0] != inside[:, 1])[0]  # facets on the slab boundary
-    other = np.where(inside[f, 0], fe[f, 1], fe[f, 0])
-    sid = np.where(other < 0, mesh.boundary_sides[f],
-                   np.where(mesh.slab_index[other] < n,
-                            _SIDE_ID["tmin"], _SIDE_ID["tmax"]))
-    # vmap is increasing, so the pairs stay sorted
-    return SpaceTimeMesh(mesh.vertices[vids], vmap[elems], mesh.slab_index[in_slab],
-                         (vmap[mesh.facets[f]], sid), "slab", mesh.box)
+    touched = inside[:, 0] | inside[:, 1]
+    fids = np.flatnonzero(touched)
+    # the maps from parent to slab ids
+    vmap, emap, fmap = (np.cumsum(m) - 1 for m in (used, in_slab, touched))
+    # side 0 holds the in-slab element of lower id: the parent's side 0,
+    # or its side 1 where side 0 lies outside; a side outside becomes -1
+    side = np.where(inside[fids, :1], [0, 1], [1, 0])
+    rows = fids[:, None]
+    keep = inside[rows, side]
+    # a facet on the slab boundary keeps its label or, if the parent had
+    # an element across it, is labelled after that element's slab
+    lone = ~keep[:, 1]
+    other = fe[fids[lone], side[lone, 1]]
+    boundary_sides = np.full(len(fids), -1, dtype=np.int8)
+    boundary_sides[lone] = np.where(
+        other < 0, mesh.boundary_sides[fids[lone]],
+        np.where(mesh.slab_index[other] < n, _SIDE_ID["tmin"], _SIDE_ID["tmax"]))
+    return SpaceTimeMesh._restricted(
+        mesh.vertices[used], vmap[elems], mesh.slab_index[eids], "slab", mesh.box,
+        J=mesh.J[eids], detJ=mesh.detJ[eids], Jinv=mesh.Jinv[eids],
+        areas=mesh.areas[eids], element_h=mesh.element_h[eids],
+        facets=vmap[mesh.facets[fids]], facet_lengths=mesh.facet_lengths[fids],
+        facet_elems=np.where(keep, emap[fe[rows, side]], -1),
+        facet_locals=np.where(keep, mesh.facet_locals[rows, side], -1),
+        facet_normals=np.where(keep[..., None], mesh.facet_normals[rows, side], 0.0),
+        elem_facets=fmap[mesh.elem_facets[eids]], boundary_sides=boundary_sides)
 
 
 def validate_mesh(mesh, tol=1e-12):

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sthdg.krylov import BreakdownError, bicgstab
+from sthdg.cases import build_case_mesh, case_by_name
+from sthdg.hdg import assemble_blocks, condense
+from sthdg.krylov import BreakdownError, SolverFailure, bicgstab
+from sthdg.solving import SolverParams, accepted, prepare_operator, solve_condensed
 
 
 def random_system(rng, n=40):
@@ -33,6 +38,25 @@ def test_zero_rhs_returns_zero():
     A, _ = random_system(rng, 10)
     x, rep = bicgstab(A, np.zeros(10), tol=1e-12, maxiter=5000)
     assert rep.converged and np.all(x == 0.0) and rep.iterations == 0
+    assert rep.true_residual == 0.0 and accepted(rep, 1e-12)
+
+
+def test_vanishing_preconditioned_rhs_reports_the_true_residual():
+    # M b = 0 for a nonzero b: x = 0 leaves all of b, and the solve must
+    # not count as accepted
+    x, rep = bicgstab(sp.identity(4, format="csr"), np.ones(4), lambda v: 0.0 * v,
+                      tol=1e-12, maxiter=10)
+    assert np.all(x == 0.0) and rep.true_residual == 1.0
+    assert not accepted(rep, 1e-12)
+
+
+def test_solve_condensed_refuses_a_vanishing_preconditioned_rhs():
+    case = case_by_name("pulse1d", p=1, nu=1e-2)
+    cs = condense(assemble_blocks(build_case_mesh(case, 4, 4), 1, case.prob))
+    op = prepare_operator(cs, SolverParams(), {})
+    op.hierarchy = SimpleNamespace(as_preconditioner=lambda: lambda v: 0.0 * v)
+    with pytest.raises(SolverFailure, match="true relative residual 1.000e"):
+        solve_condensed(cs, operator=op)
 
 
 def test_residual_history_structure():

@@ -12,7 +12,10 @@ their split into an operator part and a load part are kept here as one
 function each, and every system the program builds must equal theirs
 byte for byte.  A march that assembles, condenses and prepares every
 slab in full with them must give the same loads, operators, solutions
-and iteration counts as the march that reuses.
+and iteration counts as the march that reuses.  The oracle's einsum
+expressions for the load also check :func:`sthdg.hdg.assemble_load`'s
+matrix products on every case, degree, geometry and mode, and a
+constant velocity must give the key and system of the equal callable.
 """
 
 import copy
@@ -27,9 +30,11 @@ import sthdg.solving
 from sthdg.amr import amr_loop
 from sthdg.basis import tri_space_dim
 from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
-from sthdg.hdg import (_facet_side_groups, _tables, assemble_blocks, condense,
-                       default_penalty, line_trace_evaluator, operator_key)
-from sthdg.mesh import SIDE_NAMES, bisect_refine, extract_slab
+from sthdg.hdg import (_facet_side_groups, _tables, assemble_blocks, assemble_load,
+                       condense, default_penalty, line_trace_evaluator,
+                       operator_key)
+from sthdg.mesh import (MODES, SIDE_NAMES, DeformationMap, bisect_refine,
+                        deform_mesh, extract_slab)
 from sthdg.solving import SolverParams, solve_condensed
 from sthdg.sparsela import SingularBlockError, block_diag_csr, validate_csr
 
@@ -44,6 +49,13 @@ def _einsum(subscripts, *operands):
     return np.einsum(subscripts, *operands, optimize=True)
 
 
+def velocity_at(prob, points):
+    """The problem's velocity at ``points``, a constant filled in."""
+    if callable(prob.velocity):
+        return np.asarray(prob.velocity(points), dtype=float)
+    return np.full(len(points), float(prob.velocity))
+
+
 def assemble_blocks_oracle(mesh, p, prob):
     """The four-block system, assembled in one pass over the facet groups."""
     nu = float(prob.nu)
@@ -55,7 +67,7 @@ def assemble_blocks_oracle(mesh, p, prob):
     nf = mesh.n_facets
     X = mesh.element_points(rq)
     flatX = X.reshape(-1, 2)
-    avals = prob.velocity_at(flatX).reshape(ne, -1)
+    avals = velocity_at(prob, flatX).reshape(ne, -1)
     G = np.einsum("qid,edc->eqic", gref, mesh.Jinv)
     conv = G[:, :, :, 0] + avals[:, :, None] * G[:, :, :, 1]
     wdet = rw[None, :] * mesh.detJ[:, None]
@@ -83,7 +95,7 @@ def assemble_blocks_oracle(mesh, p, prob):
         Xf = pa[:, None, :] + sseg[None, :, None] * (pb - pa)[:, None, :]
         L = mesh.facet_lengths[fids]
         n = mesh.facet_normals[fids, sides]
-        af = prob.velocity_at(Xf.reshape(-1, 2)).reshape(len(fids), -1)
+        af = velocity_at(prob, Xf.reshape(-1, 2)).reshape(len(fids), -1)
         an = n[:, 0:1] + af * n[:, 1:2]
         apl = np.maximum(an, 0.0)
         ami = np.minimum(an, 0.0)
@@ -382,6 +394,58 @@ def test_deformed_slabs_prepare_one_operator_each(monkeypatch, p):
     assert_bitwise_equal(sol, oracle)
     assert builds == NT
     assert len({id(s.hierarchy) for _, s in sol.slabs}) == NT
+
+
+def oracle_meshes(name, p, deformed, mode):
+    """The case's mesh (deformed by ``DeformationMap(0.1)`` if the case
+    has no deformation of its own) and problem; in slab mode its slabs."""
+    case = case_by_name(name, p=p, nu=1e-2, deformed=deformed)
+    mesh = build_case_mesh(case, NX, NT, mode=mode)
+    if deformed and case.deformation is None:
+        mesh = deform_mesh(mesh, DeformationMap(0.1))
+    if mode == "slab":
+        return [extract_slab(mesh, n) for n in range(mesh.n_slabs)], case.prob
+    return [mesh], case.prob
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deformed", [False, True], ids=["plain", "deformed"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", ["pulse1d", "polyexact", "layer1d"])
+def test_load_matches_the_einsum_oracle(name, p, deformed, mode):
+    # every slab after the first takes tmin data from ``initial``; a slab
+    # whose key equals the first's also forms its load with that
+    # slab's operator, as a march does
+    meshes, prob = oracle_meshes(name, p, deformed, mode)
+    first = assemble_blocks(meshes[0], p, prob)
+    shared = 0
+    for n, mesh in enumerate(meshes):
+        sprob = prob if n == 0 else replace(prob, initial=prob.exact)
+        bs = assert_systems_match_oracle(mesh, p, sprob)
+        if operator_key(mesh, p, sprob) == operator_key(meshes[0], p, prob):
+            elem_F, G = assemble_load(first, mesh, sprob)
+            assert_same(elem_F, bs.elem_F, f"slab {n} elem_F")
+            assert_same(G, bs.G, f"slab {n} G")
+            shared += 1
+    assert shared == (1 if deformed else len(meshes))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("deformed", [False, True], ids=["plain", "deformed"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_constant_velocity_equals_the_constant_callable(p, deformed, mode):
+    meshes, prob = oracle_meshes("pulse1d", p, deformed, mode)
+    assert prob.velocity == 1.0
+    ones = replace(prob, velocity=lambda pts: np.full(len(pts), 1.0))
+    for mesh in meshes:
+        assert operator_key(mesh, p, prob) == operator_key(mesh, p, ones)
+        a, b = assemble_blocks(mesh, p, prob), assemble_blocks(mesh, p, ones)
+        for f in BLOCK_FIELDS:
+            assert_same(getattr(a, f), getattr(b, f), f)
+        for f in ("dirichlet", "neumann"):
+            for x, y in zip(getattr(a, f), getattr(b, f), strict=True):
+                for u, v in zip(x, y, strict=True):
+                    assert_same(u, v, f)
 
 
 def nudged(values, k=0):

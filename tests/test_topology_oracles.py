@@ -16,8 +16,12 @@ tests every vertex against every facet.  The element maps (``J``,
 ``detJ``, ``Jinv``) that ``SpaceTimeMesh`` computes once for every
 element, and the longest edges ``element_h`` it takes from them, must
 match a per-element loop bitwise, with ``areas`` exactly half the
-determinant.
+determinant.  ``extract_slab`` restricts its parent's arrays to the slab;
+every array of every slab mesh must equal the one the constructor builds
+from the slab's vertices, elements and side labels.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -26,9 +30,9 @@ from hypothesis import given, settings, strategies as st
 
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import _facet_side_groups, assemble_blocks
-from sthdg.mesh import (SIDE_NAMES, DeformationMap, _hanging_pairs,
-                        bisect_refine, build_st_mesh, deform_mesh,
-                        extract_slab, validate_mesh)
+from sthdg.mesh import (SIDE_NAMES, DeformationMap, SpaceTimeMesh, _hanging_pairs,
+                        bisect_refine, build_st_mesh, deform_mesh, extract_slab,
+                        read_mesh, validate_mesh, write_mesh)
 from sthdg.sparsela import validate_csr
 
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))
@@ -152,6 +156,26 @@ def element_maps_loop(vertices, elements):
             "element_h": h}
 
 
+def extract_slab_rebuilt(mesh, n):
+    """Slab ``n`` built by the mesh constructor from its vertices, elements
+    and side labels, as ``extract_slab`` did before it restricted the
+    parent's arrays."""
+    in_slab = mesh.slab_index == n
+    elems = mesh.elements[in_slab]
+    vids = np.unique(elems)
+    vmap = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    vmap[vids] = np.arange(len(vids))
+    fe = mesh.facet_elems
+    inside = (fe >= 0) & in_slab[fe]
+    f = np.nonzero(inside[:, 0] != inside[:, 1])[0]  # facets on the slab boundary
+    other = np.where(inside[f, 0], fe[f, 1], fe[f, 0])
+    sid = np.where(other < 0, mesh.boundary_sides[f],
+                   np.where(mesh.slab_index[other] < n,
+                            _SIDE_ID["tmin"], _SIDE_ID["tmax"]))
+    return SpaceTimeMesh(mesh.vertices[vids], vmap[elems], mesh.slab_index[in_slab],
+                         (vmap[mesh.facets[f]], sid), "slab", mesh.box)
+
+
 def facet_side_groups_loop(mesh):
     groups = {}
     for s in (0, 1):
@@ -233,6 +257,34 @@ def test_every_slab_matches_loop():
         sub = extract_slab(mesh, n)
         assert_connectivity_matches_loop(sub)
         validate_mesh(sub)
+
+
+MESH_ARRAYS = ("vertices", "elements", "slab_index", "J", "detJ", "Jinv", "areas",
+               "element_h", "facets", "facet_lengths", "facet_locals",
+               "facet_normals", "facet_elems", "elem_facets", "boundary_sides")
+
+
+def slab_parents():
+    """Slab-mode parents: uniform, deformed in t, bisected, read back."""
+    uniform = build_st_mesh(6, 5, mode="slab")
+    refined = bisect_refine(bisect_refine(uniform, [0, 13, 29, 44]), [3, 50, 61])
+    buf = io.StringIO()
+    write_mesh(refined, buf)
+    buf.seek(0)
+    return {"uniform": uniform,
+            "deformed": deform_mesh(uniform, DeformationMap(0.1)),
+            "refined": refined, "read_back": read_mesh(buf)}
+
+
+@pytest.mark.parametrize("name", ["uniform", "deformed", "refined", "read_back"])
+def test_every_slab_equals_the_constructors_mesh(name):
+    mesh = slab_parents()[name]
+    for n in range(mesh.n_slabs):
+        sub, want = extract_slab(mesh, n), extract_slab_rebuilt(mesh, n)
+        assert set(vars(sub)) == set(vars(want))
+        for field in MESH_ARRAYS:
+            assert same_bits(getattr(sub, field), getattr(want, field)), (n, field)
+        assert (sub.mode, sub.box) == (want.mode, want.box)
 
 
 @settings(max_examples=25, deadline=None)
