@@ -9,8 +9,9 @@ splitting AIR chose, in formats any sparse toolbox reads.
 import tempfile
 from pathlib import Path
 
+from scipy.io import mmread
+
 from sthdg.experiments import ExperimentConfig, run_export
-from sthdg.sparsela import read_matrix_market
 
 with tempfile.TemporaryDirectory(prefix="sthdg_export_") as tmp:
     outdir = Path(tmp)
@@ -20,8 +21,8 @@ with tempfile.TemporaryDirectory(prefix="sthdg_export_") as tmp:
     for p in paths:
         print("wrote", p)
 
-    S = read_matrix_market(outdir / "system.mtx")
-    H = read_matrix_market(outdir / "rhs.mtx")
+    S = mmread(outdir / "system.mtx")
+    H = mmread(outdir / "rhs.mtx").ravel()
     print("\nsystem:", S.shape, "nnz", S.nnz)
     print("rhs:", H.shape)
 

@@ -48,7 +48,6 @@ __all__ = [
     "rs_coarsen",
     "lair_restriction",
     "one_point_interpolation",
-    "ideal_restriction_dense",
     "galerkin_coarse",
     "topological_block_order",
     "build_hierarchy",
@@ -214,20 +213,6 @@ def one_point_interpolation(labels, S):
     return validate_csr(P)
 
 
-def ideal_restriction_dense(A, labels):
-    """Exact ideal restriction [-A_cf A_ff^{-1}, I] as a dense matrix."""
-    A = np.asarray(A, dtype=float)
-    cpts = np.nonzero(labels == C_POINT)[0]
-    fpts = np.nonzero(labels == F_POINT)[0]
-    R = np.zeros((len(cpts), A.shape[0]))
-    R[np.arange(len(cpts)), cpts] = 1.0
-    if len(fpts):
-        Aff = A[np.ix_(fpts, fpts)]
-        Acf = A[np.ix_(cpts, fpts)]
-        R[:, fpts] = -Acf @ np.linalg.inv(Aff)
-    return R
-
-
 def galerkin_coarse(R, A, P):
     """Exact triple product R A P (no dropping), canonical CSR."""
     return validate_csr(validate_csr(R @ A) @ P)
@@ -249,7 +234,7 @@ class TopologicalOrder:
     cycle_blocks: np.ndarray
 
 
-def topological_block_order(A, block_size=1):
+def topological_block_order(A, block_size):
     """Order blocks so the matrix becomes (block) lower triangular.
 
     A dependency edge j -> i exists when block (i, j), i != j, holds an
@@ -330,7 +315,7 @@ class RelaxationPlan:
       (None for the pointwise schemes).
     """
 
-    def __init__(self, A, scheme, labels=None, block_size=1):
+    def __init__(self, A, scheme, labels=None, *, block_size):
         A = validate_csr(A)
         self.A = A
         self.ordering = None
@@ -460,7 +445,7 @@ def build_hierarchy(A, theta_c, theta_r, relaxation, block_size):
         fallbacks += nfall
         P = one_point_interpolation(labels, g)
         bsize = block_size if not levels else 1
-        plan = RelaxationPlan(A, relaxation, labels, bsize)
+        plan = RelaxationPlan(A, relaxation, labels, block_size=bsize)
         levels.append(AirLevel(A=A, R=R, P=P, labels=labels, plan=plan))
         A = galerkin_coarse(R, A, P)
     levels.append(AirLevel(A=A, R=None, P=None, labels=None, plan=None))

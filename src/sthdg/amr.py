@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cases, hdg, solving
 from .basis import triangle_basis
 from .mesh import bisect_refine
 from .quadrature import triangle_rule
@@ -92,19 +93,14 @@ def amr_loop(case, p, cycles, params=None, *, n0, fraction):
     roundoff: past that point the field is numerical noise and marking
     on it would scatter refinement instead of concentrating it.
     """
-    # imported per call so that wrappers set on these modules see the calls
-    from .cases import build_case_mesh
-    from .hdg import st_l2_error
-    from .solving import solve_problem
-
-    mesh = build_case_mesh(case, n0, n0, mode="all_at_once")
+    mesh = cases.build_case_mesh(case, n0, n0, mode="all_at_once")
     records = []
     for cycle in range(cycles + 1):
-        sol = solve_problem(mesh, p, case.prob, params)
+        sol = solving.solve_problem(mesh, p, case.prob, params)
         records.append(AmrRecord(
             cycle=cycle,
             n_coupled=len(sol.lam),
-            l2_error=st_l2_error(mesh, p, sol.U, case.prob.exact),
+            l2_error=hdg.st_l2_error(mesh, p, sol.U, case.prob.exact),
             iterations=int(sol.iterations),
             median_h=float(np.median(mesh.element_h)),
             mesh=mesh,

@@ -31,7 +31,7 @@ class Case:
     deformation: Optional[DeformationMap] = None
 
 
-def build_case_mesh(case, nx, nt, mode="all_at_once"):
+def build_case_mesh(case, nx, nt, mode):
     """Uniform (and possibly deformed) mesh for a case."""
     m = build_st_mesh(nx, nt, case.box, mode)
     if case.deformation is not None:
@@ -39,14 +39,13 @@ def build_case_mesh(case, nx, nt, mode="all_at_once"):
     return m
 
 
-def trace_neumann(exact, exact_grad, nu, velocity=1.0):
-    """Inflow-trace Neumann data of an exact solution."""
+def trace_neumann(exact, exact_grad, nu):
+    """Inflow-trace Neumann data of an exact solution at unit speed."""
 
     def g_n(points, normals):
         pts = np.atleast_2d(points)
         nrm = np.atleast_2d(normals)
-        a = velocity(pts) if callable(velocity) else float(velocity)
-        an = nrm[:, 0] + a * nrm[:, 1]
+        an = nrm[:, 0] + nrm[:, 1]  # a_n = n_t + a n_x with a = 1
         zeta = (an < 0.0).astype(float)
         gu = np.asarray(exact_grad(pts))
         return -zeta * np.asarray(exact(pts)) * an + nu * gu[:, 1] * nrm[:, 1]
@@ -54,7 +53,7 @@ def trace_neumann(exact, exact_grad, nu, velocity=1.0):
     return g_n
 
 
-def make_pulse1d(nu, deformed=False):
+def make_pulse1d(nu, deformed):
     """Gaussian pulse advected at unit speed while diffusing.
 
     Exact solution of u_t + u_x - nu u_xx = 0 on [0,1] x [-1/2, 1/2]:
@@ -147,7 +146,7 @@ def _poly_shift(coeffs, dt=0, dx=0):
     return out
 
 
-def make_polyexact(p, nu, deformed=False):
+def make_polyexact(p, nu, deformed):
     """Manufactured polynomial solution reproduced exactly at degree p.
 
     ``u`` is a fixed full-footprint polynomial of total degree p (for

@@ -50,8 +50,8 @@ from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
 from .mesh import MODES as _MODES
-from .solving import (SolverParams, accepted, prepare_operator,
-                      solve_condensed, solve_problem, timed)
+from .solving import (SolverParams, _check_field_types, accepted,
+                      prepare_operator, solve_condensed, solve_problem, timed)
 from .sparsela import BlockDiagonalScaling, write_matrix_market
 
 __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
@@ -140,6 +140,8 @@ class ExperimentConfig:
     outdir: str = "results"
 
     def __post_init__(self):
+        _check_field_types(self, lambda name, msg: ConfigError(
+            f"[{_SECTIONS[name]}] {name}: {msg}"))
         if self.case not in _CASES:
             raise ConfigError(f"[experiment] case: unknown case {self.case!r}")
         if self.mode not in _MODES:

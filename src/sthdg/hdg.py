@@ -73,7 +73,6 @@ __all__ = [
     "condense_load",
     "reconstruct",
     "st_l2_error",
-    "project",
     "line_trace_evaluator",
     "lambda_dof_positions",
 ]
@@ -245,36 +244,6 @@ class BlockSystem(BlockOperator):
 
     elem_F: np.ndarray  # (ne, nV)
     G: np.ndarray
-
-    def monolithic(self):
-        """Full sparse [[A, B], [C, D]] system and its right-hand side."""
-        ne, nV, nM = len(self.elem_A), self.nV, self.facet_block_size
-        nU = ne * nV
-        Asp = sp.block_diag([self.elem_A[e] for e in range(ne)], format="csr")
-        rows_b, cols_b, vals_b = [], [], []
-        rows_c, cols_c, vals_c = [], [], []
-        for e in range(ne):
-            for loc in range(3):
-                fb = self.elem_facet_block[e, loc]
-                if fb < 0:
-                    continue
-                r = np.repeat(np.arange(nV), nM) + e * nV
-                c = np.tile(np.arange(nM), nV) + fb * nM
-                rows_b.append(r)
-                cols_b.append(c)
-                vals_b.append(self.elem_B[e, loc].ravel())
-                rows_c.append(np.repeat(np.arange(nM), nV) + fb * nM)
-                cols_c.append(np.tile(np.arange(nV), nM) + e * nV)
-                vals_c.append(self.elem_C[e, loc].ravel())
-        nL = self.n_lambda
-        Bsp = sp.coo_matrix(
-            (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-            shape=(nU, nL)) if rows_b else sp.csr_matrix((nU, nL))
-        Csp = sp.coo_matrix(
-            (np.concatenate(vals_c), (np.concatenate(rows_c), np.concatenate(cols_c))),
-            shape=(nL, nU)) if rows_c else sp.csr_matrix((nL, nU))
-        K = sp.bmat([[Asp, Bsp], [Csp, self.D]], format="csr")
-        return validate_csr(K), np.concatenate([self.elem_F.ravel(), self.G])
 
 
 @dataclass
@@ -526,17 +495,6 @@ def st_l2_error(mesh, p, U, exact):
     uh = np.einsum("qi,ei->eq", phi, U.reshape(mesh.n_elements, -1))
     err2 = np.einsum("eq,eq->", rw[None, :] * mesh.detJ[:, None], (uh - ue) ** 2)
     return float(np.sqrt(err2))
-
-
-def project(mesh, p, fn):
-    """Elementwise L2 projection of a callable onto P_p; returns (ne*nV,)."""
-    rq, rw = triangle_rule(2 * p + 4)
-    phi = triangle_basis(p).eval(rq)
-    X = mesh.element_points(rq)
-    fv = np.asarray(fn(X.reshape(-1, 2)), dtype=float).reshape(mesh.n_elements, -1)
-    # reference-orthonormal basis: the element mass matrix is detJ * I and
-    # the detJ factors cancel against the quadrature weights
-    return np.einsum("q,eq,qi->ei", rw, fv, phi).ravel()
 
 
 def line_trace_evaluator(mesh, p, U):

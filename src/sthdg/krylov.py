@@ -38,13 +38,13 @@ class SolveReport:
         return self.residuals[-1][1] if self.residuals else np.nan
 
 
-def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
+def bicgstab(A, b, M, *, tol, maxiter, callback=None):
     """Solve A x = b from a zero initial guess.
 
     Parameters
     ----------
     A : sparse matrix or callable
-    M : callable applying the left preconditioner to a vector, or None.
+    M : callable applying the left preconditioner to a vector.
     tol : float
         Relative tolerance on the preconditioned residual norm.
     callback : callable(x, k), optional
@@ -56,12 +56,11 @@ def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
     report : SolveReport
     """
     matvec = A if callable(A) else (lambda v: A @ v)
-    prec = M if M is not None else (lambda v: v)
     b = np.asarray(b, dtype=float)
     n = len(b)
     x = np.zeros(n)
 
-    r = prec(b)
+    r = M(b)
     bnorm = np.linalg.norm(r)
     if bnorm == 0.0:
         # x = 0 is the answer only for b = 0; otherwise its true
@@ -75,33 +74,36 @@ def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
     restarts = 0
     bnorm_true = np.linalg.norm(b)
 
+    def restart(what):
+        """Restart from the true residual of ``x``; a second breakdown raises."""
+        nonlocal restarts
+        if restarts >= 1:
+            raise BreakdownError(f"{what} breakdown at iteration {k}")
+        restarts += 1
+        r = M(b - matvec(x))
+        rhat = r.copy()
+        return r, rhat, r.copy(), float(rhat @ r)
+
     k = 0
     while k < maxiter:
         k += 1
-        v = prec(matvec(p))
+        v = M(matvec(p))
         denom = float(rhat @ v)
         if abs(denom) < 1e-30 * bnorm * bnorm:
-            if restarts >= 1:
-                raise BreakdownError(f"rhat'v breakdown at iteration {k}")
-            restarts += 1
-            r = prec(b - matvec(x))
-            rhat = r.copy()
-            p = r.copy()
-            rho = float(rhat @ r)
+            r, rhat, p, rho = restart("rhat'v")
             continue
         alpha = rho / denom
         s = r - alpha * v
         snorm = np.linalg.norm(s) / bnorm
         resids.append((k - 0.5, snorm))
-        if snorm <= tol:
-            x = x + alpha * p
-            if callback is not None:
-                callback(x, k)
-            resids.append((k, snorm))
-            break
-        t = prec(matvec(s))
-        tt = float(t @ t)
-        if tt == 0.0:
+        # the half step ends the iteration when it converged, or when t = 0
+        # leaves no omega to take the other half with
+        last = snorm <= tol
+        if not last:
+            t = M(matvec(s))
+            tt = float(t @ t)
+            last = tt == 0.0
+        if last:
             x = x + alpha * p
             if callback is not None:
                 callback(x, k)
@@ -118,13 +120,7 @@ def bicgstab(A, b, M=None, *, tol, maxiter, callback=None):
             break
         rho_new = float(rhat @ r)
         if abs(rho_new) < 1e-30 * bnorm * bnorm or abs(omega) < 1e-30:
-            if restarts >= 1:
-                raise BreakdownError(f"rho/omega breakdown at iteration {k}")
-            restarts += 1
-            r = prec(b - matvec(x))
-            rhat = r.copy()
-            p = r.copy()
-            rho = float(rhat @ r)
+            r, rhat, p, rho = restart("rho/omega")
             continue
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new

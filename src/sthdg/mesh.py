@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 MODES = ("all_at_once", "slab")
+# relative tolerance of every check in :func:`validate_mesh`
+_VALIDATE_TOL = 1e-12
 SIDE_NAMES = ("tmin", "tmax", "xlo", "xhi")
 _SIDE_ID = {name: i for i, name in enumerate(SIDE_NAMES)}
 
@@ -247,7 +249,7 @@ class DeformationMap:
         return out
 
 
-def build_st_mesh(nx, nt, box=(0.0, 1.0, -0.5, 0.5), mode="all_at_once"):
+def build_st_mesh(nx, nt, box, mode):
     """Uniform anti-diagonal-split triangulation of [t0,tN] x [xlo,xhi].
 
     Parameters
@@ -446,29 +448,35 @@ def extract_slab(mesh, n):
         elem_facets=fmap[mesh.elem_facets[eids]], boundary_sides=boundary_sides)
 
 
-def validate_mesh(mesh, tol=1e-12):
+def validate_mesh(mesh):
     """Check mesh invariants; raises AssertionError with a description.
 
     Verifies positive orientation, two-sided facet consistency
     (anti-parallel outward normals), the per-element closed-polygon
     identity (sum of length-weighted outward normals vanishes) and
-    conformity (no vertex interior to another element's facet).
+    conformity (no vertex interior to another element's facet), each to
+    ``_VALIDATE_TOL``.  The checks are explicit raises, so they also run
+    under ``python -O``.
     """
+    tol = _VALIDATE_TOL
     scale = max(abs(v) for v in mesh.box) + 1.0
-    assert np.all(mesh.areas > 0), "non-positive element area"
+    if not np.all(mesh.areas > 0):
+        raise AssertionError("non-positive element area")
     inner = mesh.facet_elems[:, 1] >= 0
     nsum = mesh.facet_normals[inner, 0] + mesh.facet_normals[inner, 1]
-    assert np.abs(nsum).max() < tol if inner.any() else True, \
-        "interior facet normals are not anti-parallel"
+    if inner.any() and not np.abs(nsum).max() < tol:
+        raise AssertionError("interior facet normals are not anti-parallel")
     f = mesh.elem_facets
     s = (mesh.facet_elems[f, 0] != np.arange(mesh.n_elements)[:, None]).astype(int)
     flux = mesh.facet_lengths[f][:, :, None] * mesh.facet_normals[f, s]
     closed = np.abs(flux[:, 0] + flux[:, 1] + flux[:, 2]).max(axis=1) < tol * scale
-    assert closed.all(), f"element {np.argmin(closed)} normals do not close"
+    if not closed.all():
+        raise AssertionError(f"element {np.argmin(closed)} normals do not close")
     # conformity: no vertex strictly inside a facet
     vert, fac = _hanging_pairs(mesh.vertices, mesh.facets, tol, scale)
-    assert not len(vert), \
-        f"vertex {vert[0]} hangs on facet {fac[vert == vert[0]]}"
+    if len(vert):
+        raise AssertionError(
+            f"vertex {vert[0]} hangs on facet {fac[vert == vert[0]]}")
     return True
 
 

@@ -67,9 +67,23 @@ def accepted(report, tol):
     return report.converged and report.true_residual <= TRUE_RESIDUAL_FACTOR * tol
 
 
-# the values each field annotation accepts (annotations are strings here,
+# the values each scalar field annotation accepts (annotations are strings
 # under ``from __future__ import annotations``)
 _KINDS = {"float": Real, "int": Integral, "bool": bool, "str": str}
+
+
+def _check_field_types(obj, error):
+    """Raise ``error(name, message)`` for the first field of the dataclass
+    ``obj`` whose value is not of its scalar annotation (a ``_KINDS`` key).
+
+    A bool is not taken for a number, nor a number or string for a bool;
+    fields of any other annotation are not checked.
+    """
+    for f in fields(obj):
+        kind, value = _KINDS.get(f.type), getattr(obj, f.name)
+        if kind is not None and (isinstance(value, bool) != (kind is bool)
+                                 or not isinstance(value, kind)):
+            raise error(f.name, f"must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -86,12 +100,7 @@ class SolverParams:
     raise_on_failure: bool = True
 
     def __post_init__(self):
-        # each field's annotation is its type; a bool is not taken for a
-        # number, nor a number or string for a bool
-        for f in fields(self):
-            value, kind = getattr(self, f.name), _KINDS[f.type]
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name}: must be {f.type}, got {value!r}")
+        _check_field_types(self, lambda name, msg: ValueError(f"{name}: {msg}"))
         if not self.tol > 0:
             raise ValueError("tol: must be positive")
         if self.maxiter < 1:

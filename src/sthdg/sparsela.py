@@ -2,8 +2,8 @@
 
 Thin, contract-enforcing wrappers around numpy/scipy: CSR validation and
 entry lookup, block-diagonal CSR construction, block-diagonal scaling,
-guarded dense LU, unit lower triangular solves, and Matrix Market
-persistence with full-precision (17 significant digit) round-trip.
+guarded dense LU, unit lower triangular solves, and a Matrix Market
+writer whose 17 significant digits read back to the same doubles.
 
 The triangular solve runs in a small C kernel, compiled on first use by
 the system C compiler and cached in this package's ``__pycache__``;
@@ -38,7 +38,6 @@ __all__ = [
     "unit_lower_kernel",
     "unit_lower_solver",
     "write_matrix_market",
-    "read_matrix_market",
 ]
 
 
@@ -234,7 +233,7 @@ def unit_lower_solver(L):
     return solve
 
 
-# -- Matrix Market persistence ------------------------------------------
+# -- Matrix Market output -----------------------------------------------
 
 
 def write_matrix_market(path, M):
@@ -256,31 +255,3 @@ def write_matrix_market(path, M):
             f.write("%%MatrixMarket matrix array real general\n")
             f.write(f"{arr.shape[0]} {arr.shape[1]}\n")
             np.savetxt(f, arr.ravel(order="F"), fmt="%.17g")  # column-major
-
-
-def read_matrix_market(path):
-    """Read files produced by :func:`write_matrix_market`.
-
-    Returns a CSR matrix for coordinate files; a 1-D array for single
-    column array files, else a 2-D array.
-    """
-    with open(path, "r") as f:
-        header = f.readline().split()
-        if header[:3] != ["%%MatrixMarket", "matrix", "coordinate"] and \
-           header[:3] != ["%%MatrixMarket", "matrix", "array"]:
-            raise ValueError("unsupported MatrixMarket header")
-        kind = header[2]
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        dims = [int(d) for d in line.split()]
-        nr, nc = dims[:2]
-        n, width = (dims[2], 3) if kind == "coordinate" else (nr * nc, 1)
-        # loadtxt warns on no rows and returns shape (0, 1)
-        data = np.loadtxt(f, max_rows=n, ndmin=2) if n else np.empty((0, width))
-    if kind == "coordinate":
-        ij = data[:, :2].astype(np.int64) - 1
-        return validate_csr(sp.coo_matrix((data[:, 2], (ij[:, 0], ij[:, 1])),
-                                          shape=(nr, nc)))
-    arr = data.reshape(nc, nr).T
-    return arr[:, 0] if nc == 1 else arr

@@ -16,14 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from sthdg.air import (C_POINT, F_POINT, RelaxationPlan,
-                       ideal_restriction_dense)
+from sthdg.air import C_POINT, F_POINT, RelaxationPlan
 from sthdg.amr import amr_loop
 from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
 from sthdg.experiments import ExperimentConfig, run_converge, run_iterations
 from sthdg.hdg import assemble_blocks, condense, reconstruct, st_l2_error
 from sthdg.solving import SolverParams, solve_condensed, solve_problem
 from sthdg.sparsela import DenseLU, block_diag_inverse_scale
+
+from oracles import ideal_restriction_dense, monolithic
 
 LADDER = (8, 16, 32, 64)
 
@@ -127,7 +128,7 @@ def test_condensed_solve_matches_monolithic():
         mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
         assert mesh.n_elements <= 64
         bs = assemble_blocks(mesh, p, case.prob)
-        A, rhs = bs.monolithic()
+        A, rhs = monolithic(bs)
         mono = DenseLU(A.toarray()).solve(rhs)
         cs = condense(bs)
         lam = DenseLU(cs.S.toarray()).solve(cs.H)

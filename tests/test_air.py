@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from sthdg.air import (MAX_COARSE, AirSetupError, C_POINT, F_POINT,
                        RelaxationPlan, build_hierarchy, galerkin_coarse,
-                       ideal_restriction_dense, lair_restriction,
-                       one_point_interpolation, rs_coarsen, strength_graph,
-                       topological_block_order, vcycle)
+                       lair_restriction, one_point_interpolation, rs_coarsen,
+                       strength_graph, topological_block_order, vcycle)
 from sthdg.solving import SolverParams
+
+from oracles import ideal_restriction_dense
 
 
 def splitting(labels):
@@ -262,7 +263,7 @@ def test_ordered_plan_keeps_its_topological_order(b):
     rhs = rng.standard_normal(n)
     x = plan.apply(rhs, np.zeros(n))
     assert np.linalg.norm(rhs - A @ x) < 1e-12 * np.linalg.norm(rhs)
-    assert RelaxationPlan(A, "fgs").ordering is None
+    assert RelaxationPlan(A, "fgs", block_size=1).ordering is None
 
 
 def test_f_then_all_sweep_reduces_residual():
@@ -270,7 +271,7 @@ def test_f_then_all_sweep_reduces_residual():
     labels = rs_coarsen(strength_graph(A, 0.2)[0])
     rng = np.random.default_rng(13)
     b = rng.standard_normal(40)
-    plan = RelaxationPlan(A, "f_then_all_fgs", labels=labels)
+    plan = RelaxationPlan(A, "f_then_all_fgs", labels=labels, block_size=1)
     x = plan.apply(b, np.zeros(40))
     assert np.linalg.norm(b - A @ x) < 0.5 * np.linalg.norm(b)
 
@@ -320,7 +321,7 @@ def test_relaxation_rejects_zero_diagonal():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
     for scheme in ("jacobi", "fgs", "ordered_block_gs"):
         with pytest.raises(ValueError):
-            RelaxationPlan(A, scheme)
+            RelaxationPlan(A, scheme, block_size=1)
 
 
 def test_hierarchy_on_chain_is_exact_for_triangular():
@@ -369,7 +370,7 @@ def test_jacobi_relaxation_converges_on_diagonally_dominant():
     A = sp.csr_matrix(rng.random((n, n)) * 0.02 + np.eye(n))
     b = rng.standard_normal(n)
     x = np.zeros(n)
-    plan = RelaxationPlan(A, "jacobi")
+    plan = RelaxationPlan(A, "jacobi", block_size=1)
     for _ in range(60):
         x = plan.apply(b, x)
     assert np.linalg.norm(b - A @ x) < 1e-10 * np.linalg.norm(b)

@@ -6,8 +6,9 @@ import sthdg.cases
 import sthdg.solving
 from sthdg.amr import AmrRecord, amr_loop, mark_fixed_fraction, zz_estimate
 from sthdg.cases import build_case_mesh, make_layer1d, make_polyexact
-from sthdg.hdg import project
 from sthdg.mesh import bisect_refine, validate_mesh
+
+from oracles import project
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +31,8 @@ def validated_meshes(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mesh():
-    m = build_case_mesh(make_polyexact(1, 0.05), 5, 4, mode="all_at_once")
+    case = make_polyexact(1, 0.05, deformed=False)
+    m = build_case_mesh(case, 5, 4, mode="all_at_once")
     # refine a few elements so the vertex patches are not all structured
     m = bisect_refine(m, [0, 3, 11])
     validate_mesh(m)

@@ -28,7 +28,7 @@ def sample_points(rng, n=100, box=(0.05, 0.95, -0.45, 0.45)):
 
 @pytest.mark.parametrize("nu", [1e-1, 1e-2, 1e-6, 0.0])
 def test_pulse_gradient_formulas(nu):
-    case = make_pulse1d(nu)
+    case = make_pulse1d(nu, deformed=False)
     rng = np.random.default_rng(11)
     pts = sample_points(rng)
     grad = case.prob.exact_grad(pts)
@@ -39,7 +39,7 @@ def test_pulse_gradient_formulas(nu):
 @pytest.mark.parametrize("nu", [1e-1, 1e-2, 1e-6])
 def test_pulse_satisfies_pde(nu):
     """u_t + a u_x - nu u_xx = 0 at random points, derivatives by complex step."""
-    case = make_pulse1d(nu)
+    case = make_pulse1d(nu, deformed=False)
     rng = np.random.default_rng(7)
     pts = sample_points(rng)
     ut = cstep(case.prob.exact, pts, 0)
@@ -51,17 +51,17 @@ def test_pulse_satisfies_pde(nu):
 
 def test_pulse_spot_values():
     # initial profile and the diffused peak amplitude
-    case = make_pulse1d(0.0)
+    case = make_pulse1d(0.0, deformed=False)
     pts = np.array([[0.0, 0.0]])
     assert np.isclose(case.prob.exact(pts)[0], np.exp(-0.04 / 0.02))
-    case2 = make_pulse1d(1e-2)
+    case2 = make_pulse1d(1e-2, deformed=False)
     peak = case2.prob.exact(np.array([[1.0, 0.8]]))[0]  # x = x_c + a t
     assert np.isclose(peak, 0.1 / np.sqrt(0.03), atol=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_polyexact_consistency(p):
-    case = make_polyexact(p, 0.05)
+    case = make_polyexact(p, 0.05, deformed=False)
     rng = np.random.default_rng(p)
     pts = sample_points(rng)
     ut = cstep(case.prob.exact, pts, 0)
@@ -72,7 +72,8 @@ def test_polyexact_consistency(p):
 
 
 def test_polyexact_p1_source_is_constant():
-    case = make_polyexact(1, 0.05)  # u = 1 + t + x, so f = u_t + u_x = 2
+    # u = 1 + t + x, so f = u_t + u_x = 2
+    case = make_polyexact(1, 0.05, deformed=False)
     rng = np.random.default_rng(0)
     pts = sample_points(rng, 20)
     assert np.allclose(case.prob.source(pts), 2.0, atol=1e-14)
@@ -93,7 +94,7 @@ def test_layer_exact_solution():
 
 def test_initial_surface_neumann_data_equals_solution():
     """On the t=0 surface the flux trace reduces to u itself."""
-    case = make_pulse1d(1e-2)
+    case = make_pulse1d(1e-2, deformed=False)
     mesh = build_case_mesh(case, 6, 3, mode="all_at_once")
     fids = np.nonzero(mesh.boundary_sides == SIDE_NAMES.index("tmin"))[0]
     mids = mesh.facet_midpoints()[fids]

@@ -17,7 +17,8 @@ from sthdg.hdg import assemble_blocks, condense
 from sthdg.krylov import BreakdownError
 from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
                            solve_problem)
-from sthdg.sparsela import read_matrix_market
+
+from oracles import read_matrix_market
 
 
 def cfg(**kw):
@@ -52,6 +53,24 @@ def test_config_validation_errors():
                      ("n0", 0), ("cycles", -1), ("nus", (1e-2, -1e-6))):
         with pytest.raises(ConfigError, match=key):
             cfg(**{key: bad})
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("deformed", "false"), ("deformed", 1), ("cycles", 1.5), ("n0", 2.5),
+    ("p", "2"), ("p", True), ("fraction", "0.5"), ("case", 1),
+    ("mode", None), ("outdir", 3)])
+def test_config_field_of_wrong_type_is_a_config_error(key, bad):
+    # a library caller's value is checked against the field's annotation,
+    # as SolverParams checks its own; before, deformed="false" deformed
+    section = "output" if key == "outdir" else "experiment"
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be "):
+        cfg(**{key: bad})
+
+
+def test_config_takes_lists_and_integers_where_it_should():
+    c = cfg(nus=[1e-6, 1e-2], ladder=[[4, 4]], fraction=1)
+    assert c.nus == (1e-6, 1e-2) and c.ladder == ((4, 4),)
+    assert c.make_case(1e-6).deformation is None
 
 
 def test_empty_nus_is_a_config_error():
@@ -376,7 +395,8 @@ def report_true_residual(monkeypatch, true_residual):
 
 def test_true_residual_gate(monkeypatch):
     case = case_by_name("pulse1d", p=1, nu=1e-6)
-    cs = condense(assemble_blocks(build_case_mesh(case, 4, 4), 1, case.prob))
+    mesh = build_case_mesh(case, 4, 4, mode="all_at_once")
+    cs = condense(assemble_blocks(mesh, 1, case.prob))
     params = SolverParams(tol=1e-10)
     report_true_residual(monkeypatch, 1e-8)  # exactly 100 x tol: accepted
     assert solve_condensed(cs, params).report.converged

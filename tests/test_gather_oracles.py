@@ -207,7 +207,8 @@ def splitting(labels):
 def pulse_system(nu):
     """Unscaled facet system, its block size and every AIR level (p=2, 16x16)."""
     case = case_by_name("pulse1d", p=2, nu=nu)
-    cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
+    mesh = build_case_mesh(case, 16, 16, mode="all_at_once")
+    cs = condense(assemble_blocks(mesh, 2, case.prob))
     Ss = BlockDiagonalScaling(cs.S, cs.facet_block_size).matrix
     d = SolverParams()
     h = build_hierarchy(Ss, d.theta_c, d.theta_r, d.relaxation,

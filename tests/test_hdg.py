@@ -5,11 +5,13 @@ import pytest
 
 from sthdg.cases import build_case_mesh, make_polyexact, make_pulse1d
 from sthdg.hdg import (ProblemSpec, assemble_blocks, condense, default_penalty,
-                       lambda_dof_positions, line_trace_evaluator, project,
-                       reconstruct, st_l2_error)
+                       lambda_dof_positions, line_trace_evaluator, reconstruct,
+                       st_l2_error)
 from sthdg.mesh import SIDE_NAMES, build_st_mesh, extract_slab
 from sthdg.solving import solve_problem
 from sthdg.sparsela import DenseLU
+
+from oracles import monolithic, project
 
 
 def small_system(p=1, nx=3, nt=3, nu=0.05, deformed=False):
@@ -37,7 +39,7 @@ def test_problem_neumann_sides_couple_on_any_mesh(mode, ns):
     """The problem, not the mesh, decides which spatial sides are Neumann:
     each named side couples the traces of its facets, 6 on the 6 x 6 mesh
     and 1 on each of its slabs, at 3 unknowns per facet."""
-    case = make_polyexact(2, nu=0.05)
+    case = make_polyexact(2, nu=0.05, deformed=False)
     prob = replace(case.prob, neumann_sides=ns)
     mesh = build_case_mesh(case, 6, 6, mode=mode)
     if mode == "all_at_once":
@@ -57,7 +59,7 @@ def test_initial_data_reaches_only_tmin_facets(deformed):
     nowhere else, also where a deformed Neumann side leans in time."""
     case = make_polyexact(2, nu=0.05, deformed=deformed)
     prob = replace(case.prob, neumann_sides=("xlo", "xhi"))
-    mesh = build_case_mesh(case, 6, 6)
+    mesh = build_case_mesh(case, 6, 6, mode="all_at_once")
     base = assemble_blocks(mesh, 2, prob)
     shifted = assemble_blocks(mesh, 2, replace(
         prob, initial=lambda pts: prob.exact(pts) + 1.0))
@@ -69,7 +71,7 @@ def test_initial_data_reaches_only_tmin_facets(deformed):
 def _slab_and_all_at_once_errors(case, sides):
     prob = replace(case.prob, neumann_sides=sides)
     slab = solve_problem(build_case_mesh(case, 16, 16, mode="slab"), 2, prob)
-    mesh = build_case_mesh(case, 16, 16)
+    mesh = build_case_mesh(case, 16, 16, mode="all_at_once")
     whole = solve_problem(mesh, 2, prob)
     return (slab.error(2, prob.exact),
             st_l2_error(mesh, 2, whole.U, prob.exact))
@@ -97,7 +99,7 @@ def test_slab_march_equals_all_at_once_with_a_neumann_side():
 def test_polynomial_exactness_dense(p, deformed):
     """A degree-p manufactured solution is reproduced to roundoff."""
     case, mesh, bs = small_system(p, deformed=deformed)
-    A, rhs = bs.monolithic()
+    A, rhs = monolithic(bs)
     sol = DenseLU(A.toarray()).solve(rhs)
     nU = mesh.n_elements * bs.nV
     err = st_l2_error(mesh, p, sol[:nU], case.prob.exact)
@@ -108,7 +110,7 @@ def test_polynomial_exactness_dense(p, deformed):
 def test_schur_matches_monolithic(p):
     """Condensation + reconstruction equals the one-shot dense solve."""
     case, mesh, bs = small_system(p, nx=4, nt=4)
-    A, rhs = bs.monolithic()
+    A, rhs = monolithic(bs)
     mono = DenseLU(A.toarray()).solve(rhs)
     cs = condense(bs)
     lam = DenseLU(cs.S.toarray()).solve(cs.H)
@@ -158,7 +160,7 @@ def test_upwind_only_horizontal_coupling():
     condensed system is block lower triangular when facets are ordered
     by time level.
     """
-    case = make_pulse1d(1e-2)
+    case = make_pulse1d(1e-2, deformed=False)
     mesh = build_case_mesh(case, 4, 4, mode="all_at_once")
     cs = condense(assemble_blocks(mesh, 1, case.prob))
     mids = mesh.facet_midpoints()[cs.coupled_facets]
@@ -177,7 +179,7 @@ def test_reconstruct_solves_element_systems():
     lam = DenseLU(cs.S.toarray()).solve(cs.H)
     U = reconstruct(cs, lam)
     # residual of the element block equations at the reconstructed U
-    A, rhs = bs.monolithic()
+    A, rhs = monolithic(bs)
     nU = mesh.n_elements * bs.nV
     res = (A @ np.concatenate([U, lam]) - rhs)[:nU]
     assert np.abs(res).max() < 1e-10

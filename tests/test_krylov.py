@@ -10,6 +10,10 @@ from sthdg.krylov import BreakdownError, SolverFailure, bicgstab
 from sthdg.solving import SolverParams, accepted, prepare_operator, solve_condensed
 
 
+def identity(v):
+    return v
+
+
 def random_system(rng, n=40):
     A = sp.csr_matrix(rng.standard_normal((n, n)) * 0.3 + 4 * np.eye(n))
     b = rng.standard_normal(n)
@@ -19,7 +23,7 @@ def random_system(rng, n=40):
 def test_solves_random_nonsymmetric_system():
     rng = np.random.default_rng(20)
     A, b = random_system(rng)
-    x, rep = bicgstab(A, b, tol=1e-12, maxiter=5000)
+    x, rep = bicgstab(A, b, identity, tol=1e-12, maxiter=5000)
     assert rep.converged
     assert np.linalg.norm(b - A @ x) < 1e-10 * np.linalg.norm(b)
     assert rep.true_residual < 1e-10
@@ -36,7 +40,7 @@ def test_exact_preconditioner_converges_in_one_step():
 def test_zero_rhs_returns_zero():
     rng = np.random.default_rng(22)
     A, _ = random_system(rng, 10)
-    x, rep = bicgstab(A, np.zeros(10), tol=1e-12, maxiter=5000)
+    x, rep = bicgstab(A, np.zeros(10), identity, tol=1e-12, maxiter=5000)
     assert rep.converged and np.all(x == 0.0) and rep.iterations == 0
     assert rep.true_residual == 0.0 and accepted(rep, 1e-12)
 
@@ -52,7 +56,8 @@ def test_vanishing_preconditioned_rhs_reports_the_true_residual():
 
 def test_solve_condensed_refuses_a_vanishing_preconditioned_rhs():
     case = case_by_name("pulse1d", p=1, nu=1e-2)
-    cs = condense(assemble_blocks(build_case_mesh(case, 4, 4), 1, case.prob))
+    mesh = build_case_mesh(case, 4, 4, mode="all_at_once")
+    cs = condense(assemble_blocks(mesh, 1, case.prob))
     op = prepare_operator(cs, SolverParams(), {})
     op.hierarchy = SimpleNamespace(as_preconditioner=lambda: lambda v: 0.0 * v)
     with pytest.raises(SolverFailure, match="true relative residual 1.000e"):
@@ -62,7 +67,7 @@ def test_solve_condensed_refuses_a_vanishing_preconditioned_rhs():
 def test_residual_history_structure():
     rng = np.random.default_rng(23)
     A, b = random_system(rng)
-    x, rep = bicgstab(A, b, tol=1e-12, maxiter=5000)
+    x, rep = bicgstab(A, b, identity, tol=1e-12, maxiter=5000)
     steps = [s for s, _ in rep.residuals]
     assert steps[0] == 0 and rep.residuals[0][1] == 1.0
     assert steps == sorted(steps)
@@ -75,7 +80,8 @@ def test_callback_sees_full_steps_in_order():
     rng = np.random.default_rng(24)
     A, b = random_system(rng)
     seen = []
-    bicgstab(A, b, tol=1e-12, maxiter=5000, callback=lambda xk, k: seen.append(k))
+    bicgstab(A, b, identity, tol=1e-12, maxiter=5000,
+             callback=lambda xk, k: seen.append(k))
     assert seen == list(range(1, len(seen) + 1))
 
 
@@ -85,7 +91,7 @@ def test_maxiter_reported_as_not_converged():
     # indefinite-ish system so a couple of steps cannot finish the job
     A = sp.csr_matrix(rng.standard_normal((n, n)) + 0.5 * np.eye(n))
     b = rng.standard_normal(n)
-    x, rep = bicgstab(A, b, tol=1e-14, maxiter=2)
+    x, rep = bicgstab(A, b, identity, tol=1e-14, maxiter=2)
     assert not rep.converged
     assert rep.iterations == 2
     assert rep.reason == "maxiter reached"
@@ -94,7 +100,7 @@ def test_maxiter_reported_as_not_converged():
 def test_matvec_callable_interface():
     rng = np.random.default_rng(26)
     A, b = random_system(rng, 20)
-    x, rep = bicgstab(lambda v: A @ v, b, tol=1e-12, maxiter=5000)
+    x, rep = bicgstab(lambda v: A @ v, b, identity, tol=1e-12, maxiter=5000)
     assert rep.converged
     assert np.linalg.norm(b - A @ x) < 1e-9 * np.linalg.norm(b)
 
@@ -105,4 +111,37 @@ def test_breakdown_raises_after_restart():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     b = np.array([1.0, 0.0])
     with pytest.raises(BreakdownError):
-        bicgstab(A, b, tol=1e-15, maxiter=5000)
+        bicgstab(A, b, identity, tol=1e-15, maxiter=5000)
+
+
+def test_half_step_ends_the_iteration_when_t_vanishes():
+    # A is a projection and s = r0 - A r0 = (-1, 1) lies in its null
+    # space, so t = A s = 0: the half step is the last, unconverged one
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    b = np.array([1.0, 1.0])
+    seen = []
+    x, rep = bicgstab(A, b, identity, tol=1e-12, maxiter=50,
+                      callback=lambda xk, k: seen.append(k))
+    assert x.tolist() == [1.0, 1.0] and seen == [1]
+    assert rep.residuals == [(0, 1.0), (0.5, 1.0), (1, 1.0)]
+    assert rep.iterations == 1 and rep.restarts == 0 and not rep.converged
+
+
+def test_rho_omega_breakdown_restarts_once():
+    # the first full step gives r with <b, r> = 0; the restart from the
+    # true residual then converges
+    A = sp.csr_matrix(np.array([[-1.0, 2.0, -1.0], [-1.0, -2.0, -2.0],
+                                [1.0, -1.0, 2.0]]))
+    b = np.array([0.0, 2.0, 0.0])
+    x, rep = bicgstab(A, b, identity, tol=1e-12, maxiter=50)
+    assert rep.restarts == 1 and rep.converged
+    assert np.linalg.norm(b - A @ x) < 1e-10
+
+
+def test_rho_omega_breakdown_raises_after_restart():
+    A = sp.csr_matrix(np.array([[1.0, -1.0, 1.0], [-1.0, -2.0, -1.0],
+                                [1.0, 1.0, 2.0]]))
+    b = np.array([0.0, -2.0, 0.0])
+    with pytest.raises(BreakdownError,
+                       match="rho/omega breakdown at iteration 2$"):
+        bicgstab(A, b, identity, tol=1e-12, maxiter=50)

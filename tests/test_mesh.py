@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sthdg
 from sthdg.mesh import (SIDE_NAMES, DeformationMap, SpaceTimeMesh,
                         bisect_refine, build_st_mesh, deform_mesh,
                         extract_slab, read_mesh, validate_mesh, write_mesh)
@@ -238,18 +243,34 @@ def test_unlabeled_boundary_facet_rejected(alias):
                       (list(side), list(side.values())), m.mode, m.box)
 
 
-def test_labeled_hanging_vertex_rejected_by_validate_mesh():
-    # the lower-right half of the square is bisected at the midpoint (4) of
-    # the diagonal, the upper-left half is not; every boundary facet,
-    # including both sides of the diagonal, carries a label
+def hanging_mesh():
+    """The lower-right half of the unit square bisected at the midpoint (4)
+    of the diagonal, the upper-left half not; every boundary facet,
+    including both sides of the diagonal, carries a label."""
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
     side = {(0, 1): 0, (2, 3): 1, (0, 2): 2, (1, 3): 3,
             (1, 2): 0, (1, 4): 0, (2, 4): 0}
-    m = SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0],
-                      (list(side), list(side.values())), "all_at_once",
-                      (0.0, 1.0, 0.0, 1.0))
+    return SpaceTimeMesh(verts, [(0, 1, 2), (4, 3, 2), (4, 1, 3)], [0, 0, 0],
+                         (list(side), list(side.values())), "all_at_once",
+                         (0.0, 1.0, 0.0, 1.0))
+
+
+def test_labeled_hanging_vertex_rejected_by_validate_mesh():
     with pytest.raises(AssertionError, match="vertex 4 hangs on facet"):
-        validate_mesh(m)
+        validate_mesh(hanging_mesh())
+
+
+def test_validate_mesh_checks_under_optimize():
+    # python -O strips assert statements; validate_mesh must still refuse
+    paths = (Path(sthdg.__file__).parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import test_mesh; from sthdg.mesh import validate_mesh; "
+         "validate_mesh(test_mesh.hanging_mesh())"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode != 0
+    assert "AssertionError: vertex 4 hangs on facet [" in run.stderr
 
 
 def test_validate_mesh_rejects_open_element():

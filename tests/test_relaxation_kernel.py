@@ -31,7 +31,8 @@ def pulse_levels(nu):
     """(A, labels, block size) of every relaxed level of a p=2, 16x16 pulse1d
     hierarchy."""
     case = case_by_name("pulse1d", p=2, nu=nu)
-    cs = condense(assemble_blocks(build_case_mesh(case, 16, 16), 2, case.prob))
+    mesh = build_case_mesh(case, 16, 16, mode="all_at_once")
+    cs = condense(assemble_blocks(mesh, 2, case.prob))
     b = cs.facet_block_size
     d = SolverParams()
     h = build_hierarchy(BlockDiagonalScaling(cs.S, b).matrix, d.theta_c,
@@ -54,10 +55,10 @@ def test_every_stage_of_every_level_matches_the_oracle(nu, monkeypatch):
     for A, labels, b in levels:
         for scheme in RELAXATIONS:
             bsize = b if scheme == "ordered_block_gs" else 1
-            plan = RelaxationPlan(A, scheme, labels, bsize)
+            plan = RelaxationPlan(A, scheme, labels, block_size=bsize)
             with monkeypatch.context() as m:
                 m.setattr(sthdg.sparsela, "unit_lower_kernel", lambda: None)
-                oracle = RelaxationPlan(A, scheme, labels, bsize)
+                oracle = RelaxationPlan(A, scheme, labels, block_size=bsize)
             for (idx, solve), (_, solve_ref) in zip(plan.stages, oracle.stages):
                 r = rng.standard_normal(A.shape[0])[idx]
                 assert same_bits(solve(r), solve_ref(r))
@@ -137,7 +138,7 @@ def test_fallback_solves_are_bitwise_equal(nu, relaxation, mode, monkeypatch):
 def test_stage_solves_do_not_grow_memory():
     # scipy's gstrs, behind spsolve_triangular, leaks on every call
     A, labels, _ = pulse_levels(1e-1)[0]
-    idx, solve = RelaxationPlan(A, "fgs", labels).stages[0]
+    idx, solve = RelaxationPlan(A, "fgs", labels, block_size=1).stages[0]
     r = np.random.default_rng(1).standard_normal(A.shape[0])
     tracemalloc.start()
     try:

@@ -5,8 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from sthdg.air import galerkin_coarse
 from sthdg.sparsela import (DenseLU, SingularBlockError,
-                            block_diag_inverse_scale, read_matrix_market,
-                            validate_csr, write_matrix_market)
+                            block_diag_inverse_scale, validate_csr,
+                            write_matrix_market)
+
+from oracles import read_matrix_market
 
 
 def random_csr(rng, m, n, density=0.3):

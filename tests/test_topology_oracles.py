@@ -42,7 +42,10 @@ _SIDE_ID = {name: i for i, name in enumerate(SIDE_NAMES)}
 # -- oracles: the loop versions -------------------------------------------
 
 
-def build_st_mesh_loop(nx, nt, box=(0.0, 1.0, -0.5, 0.5)):
+BOX = (0.0, 1.0, -0.5, 0.5)  # pulse1d's box
+
+
+def build_st_mesh_loop(nx, nt, box=BOX):
     t0, tN, xlo, xhi = (float(v) for v in box)
     tv = np.linspace(t0, tN, nt + 1)
     xv = np.linspace(xlo, xhi, nx + 1)
@@ -228,8 +231,8 @@ def assert_connectivity_matches_loop(mesh):
 @pytest.mark.parametrize("nx, nt", [(1, 1), (1, 4), (5, 1), (3, 3), (4, 7),
                                     (16, 9), (32, 32)])
 def test_build_st_mesh_matches_loop(nx, nt):
-    box = (0.0, 1.0, -0.5, 0.5) if nx != 4 else (-1.0, 2.5, 0.25, 3.0)
-    mesh = build_st_mesh(nx, nt, box=box)
+    box = BOX if nx != 4 else (-1.0, 2.5, 0.25, 3.0)
+    mesh = build_st_mesh(nx, nt, box, "all_at_once")
     verts, elems, slabs, side = build_st_mesh_loop(nx, nt, box)
     assert same_bits(mesh.vertices, verts)
     assert same_bits(mesh.elements, elems)
@@ -245,13 +248,13 @@ def test_build_st_mesh_matches_loop(nx, nt):
         [p[:, 0] + 0.05 * np.sin(3.0 * p[:, 1]), p[:, 1] ** 3 + p[:, 1]], axis=1)),
 ])
 def test_deformed_mesh_matches_loop(mapping):
-    mesh = deform_mesh(build_st_mesh(7, 5), mapping)
+    mesh = deform_mesh(build_st_mesh(7, 5, BOX, "all_at_once"), mapping)
     assert_connectivity_matches_loop(mesh)
     validate_mesh(mesh)
 
 
 def test_every_slab_matches_loop():
-    mesh = build_st_mesh(6, 5, mode="slab")
+    mesh = build_st_mesh(6, 5, BOX, "slab")
     mesh = bisect_refine(mesh, [0, 13, 29, 44])
     for n in range(mesh.n_slabs):
         sub = extract_slab(mesh, n)
@@ -266,7 +269,7 @@ MESH_ARRAYS = ("vertices", "elements", "slab_index", "J", "detJ", "Jinv", "areas
 
 def slab_parents():
     """Slab-mode parents: uniform, deformed in t, bisected, read back."""
-    uniform = build_st_mesh(6, 5, mode="slab")
+    uniform = build_st_mesh(6, 5, BOX, "slab")
     refined = bisect_refine(bisect_refine(uniform, [0, 13, 29, 44]), [3, 50, 61])
     buf = io.StringIO()
     write_mesh(refined, buf)
@@ -291,7 +294,7 @@ def test_every_slab_equals_the_constructors_mesh(name):
 @given(nx=st.integers(1, 4), nt=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        rounds=st.integers(1, 4))
 def test_random_bisection_matches_loop_and_stays_conforming(nx, nt, seed, rounds):
-    mesh = build_st_mesh(nx, nt)
+    mesh = build_st_mesh(nx, nt, BOX, "all_at_once")
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         size = int(rng.integers(1, mesh.n_elements + 1))
@@ -322,7 +325,8 @@ def hanging_pairs_loop(vertices, facets, tol, scale):
 @given(nx=st.integers(1, 5), nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        tol=st.sampled_from([1e-12, 1e-6, 1e-3]))
 def test_hanging_pairs_match_loop(nx, nt, seed, tol):
-    mesh = deform_mesh(build_st_mesh(nx, nt), DeformationMap(0.1))
+    mesh = deform_mesh(build_st_mesh(nx, nt, BOX, "all_at_once"),
+                       DeformationMap(0.1))
     rng = np.random.default_rng(seed)
     mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=2, replace=False))
     scale = max(abs(v) for v in mesh.box) + 1.0
@@ -362,7 +366,7 @@ def layer_meshes():
     nothing couples to (dt = dx), so the refined mesh pins loose facets.
     """
     case = case_by_name("layer1d")
-    uniform = build_case_mesh(case, 5, 5)
+    uniform = build_case_mesh(case, 5, 5, mode="all_at_once")
     refined = bisect_refine(bisect_refine(uniform, [0, 7, 12, 30]), [3, 9, 21])
     slab = build_case_mesh(case, 4, 3, mode="slab")
     return case, [uniform, deform_mesh(uniform, DeformationMap(0.1)), refined,
@@ -378,7 +382,7 @@ def test_facet_side_groups_match_loop():
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_facet_side_groups_match_loop_on_refined_meshes(seed):
-    mesh = build_st_mesh(3, 3)
+    mesh = build_st_mesh(3, 3, BOX, "all_at_once")
     rng = np.random.default_rng(seed)
     for _ in range(3):
         mesh = bisect_refine(mesh, rng.choice(mesh.n_elements, size=4, replace=False))
