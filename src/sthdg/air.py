@@ -38,6 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from .krylov import SolverFailure
 from .sparsela import DenseLU, csr_gather, unit_lower_solver, validate_csr
 
 __all__ = [
@@ -62,7 +63,7 @@ C_POINT = 1
 RELAXATIONS = ("f_then_all_fgs", "fgs", "jacobi", "ordered_block_gs")
 
 
-class AirSetupError(RuntimeError):
+class AirSetupError(SolverFailure):
     """Setup cannot continue (e.g. coarsening stagnated on a large level)."""
 
 

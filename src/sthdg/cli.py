@@ -9,13 +9,11 @@ configuration errors, 3 when the linear solver fails.
 import argparse
 import sys
 
-from .air import AirSetupError
 from .experiments import (_CASES, _MODES, ConfigError, ExperimentConfig,
                           defaults_text, run_amr, run_converge, run_export,
                           run_iterations, run_ordercheck, run_relaxcompare,
                           run_stagnation)
 from .solving import SolverFailure
-from .sparsela import SingularBlockError
 
 _RUNNERS = {
     "converge": run_converge,
@@ -71,7 +69,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, AirSetupError, SingularBlockError) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     for path in paths:

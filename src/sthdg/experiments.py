@@ -40,6 +40,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .cases import build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
 from .mesh import MODES as _MODES
-from .solving import (SolverParams, _check_field_types, accepted,
+from .solving import (SolverParams, _check_field_types, _of_kind, accepted,
                       prepare_operator, solve_condensed, solve_problem, timed)
 from .sparsela import BlockDiagonalScaling, write_matrix_market
 
@@ -152,6 +153,11 @@ class ExperimentConfig:
             case_by_name(self.case, p=self.p)
         except ValueError as exc:
             raise ConfigError(f"[experiment] p: {exc}") from exc
+        if not (isinstance(self.ladder, (tuple, list)) and all(
+                isinstance(e, (tuple, list)) and len(e) == 2
+                and all(_of_kind(n, Integral) for n in e) for e in self.ladder)):
+            raise ConfigError("[experiment] ladder: must be a sequence of "
+                              f"(int, int) pairs, got {self.ladder!r}")
         if not self.ladder:
             raise ConfigError("[experiment] ladder: must be nonempty")
         self.ladder = tuple((int(a), int(b)) for a, b in self.ladder)
@@ -161,6 +167,10 @@ class ExperimentConfig:
             raise ConfigError("[experiment] n0: must be >= 1")
         if self.cycles < 0:
             raise ConfigError("[experiment] cycles: must be >= 0")
+        if not (isinstance(self.nus, (tuple, list))
+                and all(_of_kind(v, Real) for v in self.nus)):
+            raise ConfigError("[experiment] nus: must be a sequence of "
+                              f"numbers, got {self.nus!r}")
         self.nus = tuple(float(v) for v in self.nus)
         if not self.nus:
             raise ConfigError("[experiment] nus: must be nonempty")

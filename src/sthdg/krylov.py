@@ -85,6 +85,7 @@ def bicgstab(A, b, M, *, tol, maxiter, callback=None):
         return r, rhat, r.copy(), float(rhat @ r)
 
     k = 0
+    stop = "maxiter reached"
     while k < maxiter:
         k += 1
         v = M(matvec(p))
@@ -103,6 +104,8 @@ def bicgstab(A, b, M, *, tol, maxiter, callback=None):
             t = M(matvec(s))
             tt = float(t @ t)
             last = tt == 0.0
+            if last:
+                stop = f"t = M A s vanished at iteration {k}"
         if last:
             x = x + alpha * p
             if callback is not None:
@@ -132,4 +135,4 @@ def bicgstab(A, b, M, *, tol, maxiter, callback=None):
                      (bnorm_true if bnorm_true > 0 else 1.0))
     return x, SolveReport(converged=converged, iterations=k, residuals=resids,
                           true_residual=true_res, restarts=restarts,
-                          reason="" if converged else "maxiter reached")
+                          reason="" if converged else stop)

@@ -7,11 +7,21 @@ aligned with the characteristic direction ``(1, a)`` for moderate positive
 velocities ``a`` (a main-diagonal split would put facets exactly along the
 characteristics of ``a = 1`` and produce zero upwind flux there).
 
-Adaptive refinement uses newest-vertex bisection with recursive conformity
-closure.  Element vertex order is "peak first": local vertex 0 is the
-newest vertex and the refinement edge is (v1, v2).  The initial grid
-assigns peaks at the right-angle corners, so all refinement edges are
-anti-diagonal hypotenuses and the initial mesh is compatibly divisible.
+Adaptive refinement uses newest-vertex bisection with conformity closure.
+Element vertex order is "peak first": local vertex 0 is the newest vertex
+and the refinement edge is (v1, v2).  The initial grid assigns peaks at
+the right-angle corners, so all refinement edges are anti-diagonal
+hypotenuses and the initial mesh is compatibly divisible.
+
+The closure is chain arithmetic: each mark starts a chain whose next link
+is the neighbour across the refinement edge when that edge is not the
+neighbour's own, and edges are cut in (lowest marked owner, -depth along
+its chain) order.  The numbering is a contract, as AIR coarsening and so
+the iteration counts depend on it: the t-th cut gets vertex
+``n_vertices + t``; whole elements come first in order, then the new ones
+by (cut, slot), slots 0-1 holding the children ``(m, p, b1)``,
+``(m, b2, p)`` of the chain's element and 2-3 those of the element across,
+as if the marks were refined one at a time in increasing id order.
 
 Boundary facets carry a side label (``tmin``, ``tmax``, ``xlo``, ``xhi``),
 kept per facet in ``boundary_sides`` and inherited under deformation and
@@ -295,104 +305,70 @@ def deform_mesh(mesh, deformation):
 
 
 def bisect_refine(mesh, marked):
-    """Newest-vertex bisection of ``marked`` elements with conformity closure.
+    """Newest-vertex bisection of ``marked`` elements with conformity
+    closure, numbered as the module docstring states."""
+    ne, nv = mesh.n_elements, mesh.n_vertices
+    ids = np.unique(np.asarray(marked).astype(np.int64))
+    bad = ids[(ids < 0) | (ids >= ne)]
+    if bad.size:
+        raise ValueError(f"marked element {bad[0]} out of range")
+    ef, fe = mesh.elem_facets, mesh.facet_elems
+    ref = ef[:, 0]
+    across = np.where(fe[ref, 0] == np.arange(ne), fe[ref, 1], fe[ref, 0])
+    nxt = np.where((across >= 0) & (ef[across, 0] != ref), across, -1)
 
-    Neighbors whose refinement edge disagrees are refined first
-    (recursively); the result is conforming.
-    """
-    verts = [tuple(v) for v in mesh.vertices]
-    elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
-    slab = {i: int(mesh.slab_index[i]) for i in range(mesh.n_elements)}
-    side = {(a, b): s for (a, b), s in zip(*(x.tolist() for x in mesh.boundary()))}
-    next_id = mesh.n_elements
+    # key owner * ne - depth: the lowest marked id reaching an element along
+    # nxt, then how far down its chain; relaxed one chain link per round
+    key = np.full(ne, ne * ne)
+    key[ids] = ids * ne
+    front = ids
+    while front.size:
+        src = front[nxt[front] >= 0]
+        dst, old = nxt[src], key[nxt[src]]
+        np.minimum.at(key, dst, key[src] - 1)
+        front = np.unique(dst[key[dst] < old])
 
-    edge2elems = {}
-    for i, tri in elems.items():
-        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
-            key = (a, b) if a < b else (b, a)
-            edge2elems.setdefault(key, set()).add(i)
+    # each refinement edge of a reached element is cut once, in key order,
+    # by the chain element with the smallest key
+    reached = np.nonzero(key < ne * ne)[0]
+    reached = reached[np.argsort(key[reached])]
+    _, first = np.unique(ref[reached], return_index=True)
+    chain = reached[np.sort(first)]
+    time = np.full(mesh.n_facets, -1)
+    time[ref[chain]] = np.arange(len(chain))
+    lo, hi = mesh.facets[ref[chain]].T
+    vertices = np.concatenate([mesh.vertices,
+                               (mesh.vertices[lo] + mesh.vertices[hi]) / 2.0])
 
-    edge_mid = {}
+    # a split element's children (m, p, b1), (m, b2, p) come at its cut in
+    # slots 0-1 (chain element) or 2-3 (across); a child whose refinement
+    # edge (the parent's local edge 2 or 1) is cut is split there, slots 2-3
+    whole = time[ref] < 0
+    split = np.nonzero(~whole)[0]
+    p, b1, b2 = mesh.elements[split].T
+    t0, t1, t2 = time[ef[split]].T
+    m, m1, m2 = nv + t0, nv + t1, nv + t2
+    s = np.where(chain[t0] == split, 0, 2)
+    tris = np.stack([[m, p, b1], [m, b2, p], [m2, m, p], [m2, b1, m],
+                     [m1, m, b2], [m1, p, m]]).transpose(0, 2, 1)
+    order = np.stack([4 * t0 + s, 4 * t0 + s + 1, 4 * t2 + 2, 4 * t2 + 3,
+                      4 * t1 + 2, 4 * t1 + 3])
+    keep = np.stack([t2 < 0, t1 < 0, t2 >= 0, t2 >= 0, t1 >= 0, t1 >= 0])
+    new = np.argsort(order[keep])
+    elements = np.concatenate([mesh.elements[whole], tris[keep][new]])
+    slabs = np.broadcast_to(mesh.slab_index[split], keep.shape)[keep][new]
+    slab_index = np.concatenate([mesh.slab_index[whole], slabs])
 
-    def _drop(i):
-        tri = elems[i]
-        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
-            key = (a, b) if a < b else (b, a)
-            edge2elems[key].discard(i)
-        del elems[i]
-
-    def _add(tri, sl):
-        nonlocal next_id
-        i = next_id
-        next_id += 1
-        elems[i] = tri
-        slab[i] = sl
-        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
-            key = (a, b) if a < b else (b, a)
-            edge2elems.setdefault(key, set()).add(i)
-
-    def _midpoint(key):
-        m = edge_mid.get(key)
-        if m is None:
-            a, b = key
-            pa, pb = verts[a], verts[b]
-            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
-            m = len(verts) - 1
-            edge_mid[key] = m
-            if key in side:
-                s = side.pop(key)
-                side[(min(a, m), max(a, m))] = s
-                side[(min(b, m), max(b, m))] = s
-        return m
-
-    def _bisect(i):
-        # split one element across its refinement edge (v1, v2)
-        p, b1, b2 = elems[i]
-        key = (b1, b2) if b1 < b2 else (b2, b1)
-        m = _midpoint(key)
-        sl = slab[i]
-        _drop(i)
-        _add((m, p, b1), sl)
-        _add((m, b2, p), sl)
-
-    def _refine(i):
-        # iterative closure: refine incompatible neighbors across the
-        # refinement edge before splitting i itself
-        stack = [i]
-        while stack:
-            k = stack[-1]
-            if k not in elems:
-                stack.pop()
-                continue
-            p, b1, b2 = elems[k]
-            key = (b1, b2) if b1 < b2 else (b2, b1)
-            nbrs = [j for j in sorted(edge2elems.get(key, ())) if j != k]
-            incompatible = None
-            for j in nbrs:
-                jp, jb1, jb2 = elems[j]
-                jkey = (jb1, jb2) if jb1 < jb2 else (jb2, jb1)
-                if jkey != key:
-                    incompatible = j
-                    break
-            if incompatible is not None:
-                stack.append(incompatible)
-                continue
-            stack.pop()
-            _bisect(k)
-            for j in nbrs:
-                _bisect(j)
-
-    for i in sorted(set(int(m) for m in marked)):
-        if not 0 <= i < mesh.n_elements:
-            raise ValueError(f"marked element {i} out of range")
-        if i in elems:  # may already be split by closure
-            _refine(i)
-
-    ids = sorted(elems)
-    new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
-    new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
-    return SpaceTimeMesh(np.asarray(verts), new_elems, new_slab,
-                         (list(side), list(side.values())), mesh.mode, mesh.box)
+    # a cut boundary facet's label goes to both halves; the constructor
+    # ignores the label of the facet itself, which is gone
+    pairs, sides = mesh.boundary()
+    label = mesh.boundary_sides[ref[chain]]
+    cut = np.nonzero(label >= 0)[0]
+    halves = np.stack([np.concatenate([lo[cut], hi[cut]]), np.tile(nv + cut, 2)], axis=1)
+    pairs = np.concatenate([pairs, halves])
+    sides = np.concatenate([sides, np.tile(label[cut], 2)])
+    return SpaceTimeMesh(vertices, elements, slab_index, (pairs, sides),
+                         mesh.mode, mesh.box)
 
 
 def extract_slab(mesh, n):

@@ -72,17 +72,19 @@ def accepted(report, tol):
 _KINDS = {"float": Real, "int": Integral, "bool": bool, "str": str}
 
 
+def _of_kind(value, kind):
+    """Whether ``value`` is of ``kind`` (a ``_KINDS`` value): a bool is not
+    taken for a number, nor a number or string for a bool."""
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+
+
 def _check_field_types(obj, error):
     """Raise ``error(name, message)`` for the first field of the dataclass
-    ``obj`` whose value is not of its scalar annotation (a ``_KINDS`` key).
-
-    A bool is not taken for a number, nor a number or string for a bool;
-    fields of any other annotation are not checked.
-    """
+    ``obj`` whose value is not of its scalar annotation (a ``_KINDS`` key);
+    fields of any other annotation are not checked."""
     for f in fields(obj):
         kind, value = _KINDS.get(f.type), getattr(obj, f.name)
-        if kind is not None and (isinstance(value, bool) != (kind is bool)
-                                 or not isinstance(value, kind)):
+        if kind is not None and not _of_kind(value, kind):
             raise error(f.name, f"must be {f.type}, got {value!r}")
 
 

@@ -27,6 +27,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .krylov import SolverFailure
+
 __all__ = [
     "SingularBlockError",
     "validate_csr",
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-class SingularBlockError(ValueError):
+class SingularBlockError(SolverFailure, ValueError):
     """A diagonal block or dense factorization is numerically singular."""
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import sthdg.krylov
 import sthdg.solving
+from sthdg.air import AirSetupError
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.cli import main
 from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
@@ -17,6 +18,7 @@ from sthdg.hdg import assemble_blocks, condense
 from sthdg.krylov import BreakdownError
 from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
                            solve_problem)
+from sthdg.sparsela import SingularBlockError
 
 from oracles import read_matrix_market
 
@@ -71,6 +73,27 @@ def test_config_takes_lists_and_integers_where_it_should():
     c = cfg(nus=[1e-6, 1e-2], ladder=[[4, 4]], fraction=1)
     assert c.nus == (1e-6, 1e-2) and c.ladder == ((4, 4),)
     assert c.make_case(1e-6).deformation is None
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("ladder", ((4.7, 4),)), ("ladder", ((4, "x"),)), ("ladder", ((4, 4, 4),)),
+    ("ladder", ((True, 4),)), ("ladder", (4, 8)), ("ladder", "4x4"),
+    ("nus", (True,)), ("nus", ("a",)), ("nus", (None,)), ("nus", 1e-6),
+    ("nus", "1e-6")])
+def test_nus_and_ladder_entries_are_checked_not_coerced(key, bad):
+    # before, 4.7 became 4 and True became 1.0, and the rest raised a bare
+    # ValueError or TypeError
+    with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: must be a sequence"):
+        cfg(**{key: bad})
+    if not isinstance(bad, str):  # from_ini parses a string override
+        with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: must be "):
+            ExperimentConfig.from_ini(overrides={key: bad})
+
+
+def test_nus_and_ladder_normalise_to_python_numbers():
+    c = cfg(nus=[np.float64(1e-6), 0], ladder=[(np.int64(4), 8)])
+    assert c.nus == (1e-6, 0.0) and type(c.nus[1]) is float
+    assert c.ladder == ((4, 8),) and type(c.ladder[0][0]) is int
 
 
 def test_empty_nus_is_a_config_error():
@@ -381,6 +404,25 @@ def test_cli_breakdown_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
     assert not (tmp_path / "out" / "timings.txt").exists()
+
+
+@pytest.mark.parametrize("target, error", [
+    ("build_hierarchy", AirSetupError("coarsening stagnated at level 1")),
+    ("block_diag_inverse_scale", SingularBlockError("singular diagonal block(s) [0]")),
+])
+def test_cli_setup_failure_exit_3(tmp_path, capsys, monkeypatch, target, error):
+    # AIR setup and block scaling fail as SolverFailure, like the iteration
+    assert isinstance(error, SolverFailure)
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sthdg.solving, target, fail)
+    small = tmp_path / "small.ini"
+    small.write_text("[experiment]\nladder = 4\n")
+    code = main(["converge", "--config", str(small), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"solver failure: {error}\n"
 
 
 def report_true_residual(monkeypatch, true_residual):

@@ -125,6 +125,7 @@ def test_half_step_ends_the_iteration_when_t_vanishes():
     assert x.tolist() == [1.0, 1.0] and seen == [1]
     assert rep.residuals == [(0, 1.0), (0.5, 1.0), (1, 1.0)]
     assert rep.iterations == 1 and rep.restarts == 0 and not rep.converged
+    assert rep.reason == "t = M A s vanished at iteration 1"
 
 
 def test_rho_omega_breakdown_restarts_once():

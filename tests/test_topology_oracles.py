@@ -18,7 +18,11 @@ element, and the longest edges ``element_h`` it takes from them, must
 match a per-element loop bitwise, with ``areas`` exactly half the
 determinant.  ``extract_slab`` restricts its parent's arrays to the slab;
 every array of every slab mesh must equal the one the constructor builds
-from the slab's vertices, elements and side labels.
+from the slab's vertices, elements and side labels.  ``bisect_refine``
+computes its closure, midpoints and children by index arithmetic along
+chains of refinement-edge neighbours; the vertex and element numbering
+the dict-and-stack loop it replaced gives must hold bitwise, since the
+AIR coarsening and so the Krylov iteration counts depend on it.
 """
 
 import io
@@ -28,9 +32,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import sthdg.amr
+from sthdg.amr import amr_loop
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import _facet_side_groups, assemble_blocks
-from sthdg.mesh import (SIDE_NAMES, DeformationMap, SpaceTimeMesh, _hanging_pairs,
+from sthdg.mesh import (MODES, SIDE_NAMES, DeformationMap, SpaceTimeMesh, _hanging_pairs,
                         bisect_refine, build_st_mesh, deform_mesh, extract_slab,
                         read_mesh, validate_mesh, write_mesh)
 from sthdg.sparsela import validate_csr
@@ -179,6 +185,107 @@ def extract_slab_rebuilt(mesh, n):
                          (vmap[mesh.facets[f]], sid), "slab", mesh.box)
 
 
+def bisect_refine_loop(mesh, marked):
+    """Newest-vertex bisection of ``marked`` elements with conformity closure.
+
+    Neighbors whose refinement edge disagrees are refined first
+    (recursively); the result is conforming.
+    """
+    verts = [tuple(v) for v in mesh.vertices]
+    elems = {i: tuple(int(v) for v in mesh.elements[i]) for i in range(mesh.n_elements)}
+    slab = {i: int(mesh.slab_index[i]) for i in range(mesh.n_elements)}
+    side = {(a, b): s for (a, b), s in zip(*(x.tolist() for x in mesh.boundary()))}
+    next_id = mesh.n_elements
+
+    edge2elems = {}
+    for i, tri in elems.items():
+        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
+            key = (a, b) if a < b else (b, a)
+            edge2elems.setdefault(key, set()).add(i)
+
+    edge_mid = {}
+
+    def _drop(i):
+        tri = elems[i]
+        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
+            key = (a, b) if a < b else (b, a)
+            edge2elems[key].discard(i)
+        del elems[i]
+
+    def _add(tri, sl):
+        nonlocal next_id
+        i = next_id
+        next_id += 1
+        elems[i] = tri
+        slab[i] = sl
+        for a, b in ((tri[1], tri[2]), (tri[2], tri[0]), (tri[0], tri[1])):
+            key = (a, b) if a < b else (b, a)
+            edge2elems.setdefault(key, set()).add(i)
+
+    def _midpoint(key):
+        m = edge_mid.get(key)
+        if m is None:
+            a, b = key
+            pa, pb = verts[a], verts[b]
+            verts.append(((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0))
+            m = len(verts) - 1
+            edge_mid[key] = m
+            if key in side:
+                s = side.pop(key)
+                side[(min(a, m), max(a, m))] = s
+                side[(min(b, m), max(b, m))] = s
+        return m
+
+    def _bisect(i):
+        # split one element across its refinement edge (v1, v2)
+        p, b1, b2 = elems[i]
+        key = (b1, b2) if b1 < b2 else (b2, b1)
+        m = _midpoint(key)
+        sl = slab[i]
+        _drop(i)
+        _add((m, p, b1), sl)
+        _add((m, b2, p), sl)
+
+    def _refine(i):
+        # iterative closure: refine incompatible neighbors across the
+        # refinement edge before splitting i itself
+        stack = [i]
+        while stack:
+            k = stack[-1]
+            if k not in elems:
+                stack.pop()
+                continue
+            p, b1, b2 = elems[k]
+            key = (b1, b2) if b1 < b2 else (b2, b1)
+            nbrs = [j for j in sorted(edge2elems.get(key, ())) if j != k]
+            incompatible = None
+            for j in nbrs:
+                jp, jb1, jb2 = elems[j]
+                jkey = (jb1, jb2) if jb1 < jb2 else (jb2, jb1)
+                if jkey != key:
+                    incompatible = j
+                    break
+            if incompatible is not None:
+                stack.append(incompatible)
+                continue
+            stack.pop()
+            _bisect(k)
+            for j in nbrs:
+                _bisect(j)
+
+    for i in sorted(set(int(m) for m in marked)):
+        if not 0 <= i < mesh.n_elements:
+            raise ValueError(f"marked element {i} out of range")
+        if i in elems:  # may already be split by closure
+            _refine(i)
+
+    ids = sorted(elems)
+    new_elems = np.asarray([elems[i] for i in ids], dtype=np.int64)
+    new_slab = np.asarray([slab[i] for i in ids], dtype=np.int64)
+    return SpaceTimeMesh(np.asarray(verts), new_elems, new_slab,
+                         (list(side), list(side.values())), mesh.mode, mesh.box)
+
+
 def facet_side_groups_loop(mesh):
     groups = {}
     for s in (0, 1):
@@ -267,6 +374,13 @@ MESH_ARRAYS = ("vertices", "elements", "slab_index", "J", "detJ", "Jinv", "areas
                "facet_normals", "facet_elems", "elem_facets", "boundary_sides")
 
 
+def assert_same_mesh(got, want):
+    assert set(vars(got)) == set(vars(want))
+    for field in MESH_ARRAYS:
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+    assert (got.mode, got.box) == (want.mode, want.box)
+
+
 def slab_parents():
     """Slab-mode parents: uniform, deformed in t, bisected, read back."""
     uniform = build_st_mesh(6, 5, BOX, "slab")
@@ -283,25 +397,50 @@ def slab_parents():
 def test_every_slab_equals_the_constructors_mesh(name):
     mesh = slab_parents()[name]
     for n in range(mesh.n_slabs):
-        sub, want = extract_slab(mesh, n), extract_slab_rebuilt(mesh, n)
-        assert set(vars(sub)) == set(vars(want))
-        for field in MESH_ARRAYS:
-            assert same_bits(getattr(sub, field), getattr(want, field)), (n, field)
-        assert (sub.mode, sub.box) == (want.mode, want.box)
+        assert_same_mesh(extract_slab(mesh, n), extract_slab_rebuilt(mesh, n))
 
 
-@settings(max_examples=25, deadline=None)
-@given(nx=st.integers(1, 4), nt=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-       rounds=st.integers(1, 4))
-def test_random_bisection_matches_loop_and_stays_conforming(nx, nt, seed, rounds):
-    mesh = build_st_mesh(nx, nt, BOX, "all_at_once")
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["pulse1d", "layer1d", "polyexact"]),
+       deformed=st.booleans(), mode=st.sampled_from(MODES), nx=st.integers(1, 5),
+       nt=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 4))
+def test_random_bisection_matches_loop_and_stays_conforming(name, deformed, mode, nx,
+                                                            nt, seed, rounds):
+    case = case_by_name(name, nu=1e-2, deformed=deformed)
+    mesh = build_case_mesh(case, nx, nt, mode)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         size = int(rng.integers(1, mesh.n_elements + 1))
-        marked = rng.choice(mesh.n_elements, size=size, replace=False)
+        marked = rng.integers(mesh.n_elements, size=size)  # with repeats
+        want = bisect_refine_loop(mesh, marked)
         mesh = bisect_refine(mesh, marked)
+        assert_same_mesh(mesh, want)
         assert_connectivity_matches_loop(mesh)
         validate_mesh(mesh)
+
+
+@pytest.mark.parametrize("name, nu", [("pulse1d", 1e-4), ("layer1d", 0.0)])
+def test_adaptive_loop_meshes_match_loop(monkeypatch, name, nu):
+    refined = []
+
+    def refine(mesh, marked):
+        refined.append(bisect_refine(mesh, marked))
+        assert_same_mesh(refined[-1], bisect_refine_loop(mesh, marked))
+        return refined[-1]
+
+    monkeypatch.setattr(sthdg.amr, "bisect_refine", refine)
+    records = amr_loop(case_by_name(name, nu=nu), 1, 6, n0=8, fraction=0.12)
+    # layer1d's indicator reaches roundoff after three refinements
+    assert len(refined) == len(records) - 1 >= 3
+
+
+def test_bisection_of_no_all_and_float_marks_matches_loop():
+    mesh = build_st_mesh(4, 3, BOX, "slab")
+    for marked in ([], range(mesh.n_elements), [2.7, 0.2, 5.9, 5.1]):
+        assert_same_mesh(bisect_refine(mesh, marked), bisect_refine_loop(mesh, marked))
+    for marked, first in (([1, 24, -3], -3), ([30, 25], 25)):
+        with pytest.raises(ValueError, match=rf"^marked element {first} out of range$"):
+            bisect_refine(mesh, marked)
 
 
 def hanging_pairs_loop(vertices, facets, tol, scale):
