@@ -14,7 +14,8 @@ from math import factorial
 
 import numpy as np
 
-__all__ = ["TriangleBasis", "SegmentBasis", "tri_space_dim"]
+__all__ = ["TriangleBasis", "SegmentBasis", "tri_space_dim", "REF_VERTICES"]
+REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def tri_space_dim(p: int) -> int:

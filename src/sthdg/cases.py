@@ -20,7 +20,7 @@ import numpy as np
 from .hdg import ProblemSpec
 from .mesh import DeformationMap, build_st_mesh, deform_mesh
 
-__all__ = ["Case", "make_pulse1d", "make_layer1d", "make_polyexact",
+__all__ = ["CASES", "Case", "make_pulse1d", "make_layer1d", "make_polyexact",
            "build_case_mesh", "trace_neumann"]
 
 
@@ -176,12 +176,14 @@ def make_polyexact(p, nu, deformed):
     return Case(prob=prob, box=(0.0, 1.0, -0.5, 0.5), deformation=deform)
 
 
+_MAKERS = {
+    "pulse1d": lambda p, nu, deformed: make_pulse1d(nu, deformed),
+    "layer1d": lambda p, nu, deformed: make_layer1d(),
+    "polyexact": make_polyexact,
+}
+CASES = tuple(_MAKERS)
+
+
 def case_by_name(name, p=1, nu=1e-6, deformed=False):
-    """Look up a catalog case by name ("pulse1d", "layer1d", "polyexact")."""
-    if name == "pulse1d":
-        return make_pulse1d(nu, deformed=deformed)
-    if name == "layer1d":
-        return make_layer1d()
-    if name == "polyexact":
-        return make_polyexact(p, nu, deformed=deformed)
-    raise KeyError(f"unknown case {name!r}")
+    """Look up a catalog case by name, one of ``CASES`` (else KeyError)."""
+    return _MAKERS[name](p, nu, deformed)

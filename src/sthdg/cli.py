@@ -9,10 +9,11 @@ configuration errors, 3 when the linear solver fails.
 import argparse
 import sys
 
-from .experiments import (_CASES, _MODES, ConfigError, ExperimentConfig,
-                          defaults_text, run_amr, run_converge, run_export,
-                          run_iterations, run_ordercheck, run_relaxcompare,
-                          run_stagnation)
+from .cases import CASES
+from .experiments import (ConfigError, ExperimentConfig, defaults_text, run_amr,
+                          run_converge, run_export, run_iterations,
+                          run_ordercheck, run_relaxcompare, run_stagnation)
+from .mesh import MODES
 from .solving import SolverFailure
 
 _RUNNERS = {
@@ -37,12 +38,12 @@ def build_parser():
                          help="INI config file overlaying the defaults")
         cmd.add_argument("--out", default=None, metavar="DIR",
                          help="output directory")
-        cmd.add_argument("--case", default=None, choices=_CASES)
+        cmd.add_argument("--case", default=None, choices=CASES)
         cmd.add_argument("--p", type=int, default=None,
                          help="polynomial degree")
         cmd.add_argument("--nu", type=float, default=None,
                          help="viscosity (replaces the configured nu list)")
-        cmd.add_argument("--mode", default=None, choices=_MODES)
+        cmd.add_argument("--mode", default=None, choices=MODES)
     sub.add_parser("defaults", help="print the built-in configuration")
     return parser
 

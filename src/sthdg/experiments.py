@@ -47,10 +47,10 @@ import numpy as np
 
 from .air import RELAXATIONS, RelaxationPlan, rs_coarsen, strength_graph
 from .amr import amr_loop
-from .cases import build_case_mesh, case_by_name
+from .cases import CASES, build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
     reconstruct, st_l2_error
-from .mesh import MODES as _MODES
+from .mesh import MODES
 from .solving import (SolverParams, _check_field_types, _of_kind, accepted,
                       prepare_operator, solve_condensed, solve_problem, timed)
 from .sparsela import BlockDiagonalScaling, write_matrix_market
@@ -59,8 +59,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
            "run_iterations", "run_stagnation", "run_amr",
            "run_relaxcompare", "run_ordercheck", "run_export",
            "defaults_text"]
-
-_CASES = ("pulse1d", "layer1d", "polyexact")
 
 # INI section of every setting, in the order ``sthdg defaults`` prints
 # them; a [solver] key is a SolverParams field, any other an
@@ -143,10 +141,10 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_field_types(self, lambda name, msg: ConfigError(
             f"[{_SECTIONS[name]}] {name}: {msg}"))
-        if self.case not in _CASES:
+        if self.case not in CASES:
             raise ConfigError(f"[experiment] case: unknown case {self.case!r}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"[experiment] mode: must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ConfigError(f"[experiment] mode: must be one of {MODES}")
         if self.p < 1:
             raise ConfigError("[experiment] p: must be >= 1")
         try:  # the case itself knows the degrees it supports

@@ -49,12 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import segment_basis, triangle_basis, tri_space_dim
+from .basis import REF_VERTICES, segment_basis, triangle_basis, tri_space_dim
 from .mesh import _LOCAL_EDGES, _SIDE_ID
 from .quadrature import segment_rule, triangle_rule
 from .sparsela import SingularBlockError, block_diag_csr, validate_csr
@@ -76,8 +77,6 @@ __all__ = [
     "line_trace_evaluator",
     "lambda_dof_positions",
 ]
-
-_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def default_penalty(p: int) -> float:
@@ -125,12 +124,9 @@ def _tables(p: int):
     s, wf = segment_rule(2 * p + 2)
     psi = segment_basis(p).eval(s)
     traces = {}
-    for la in range(3):
-        for lb in range(3):
-            if la == lb:
-                continue
-            pts = np.outer(1.0 - s, _REF_VERTS[la]) + np.outer(s, _REF_VERTS[lb])
-            traces[(la, lb)] = (tb.eval(pts), tb.grad(pts))
+    for la, lb in permutations(range(3), 2):
+        pts = np.outer(1.0 - s, REF_VERTICES[la]) + np.outer(s, REF_VERTICES[lb])
+        traces[(la, lb)] = (tb.eval(pts), tb.grad(pts))
     return rq, rw, phi, gref, s, wf, psi, traces
 
 

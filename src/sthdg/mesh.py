@@ -88,8 +88,8 @@ class SpaceTimeMesh:
     Element maps (computed once): element k is the reference triangle's
     image under ``x = vertices[elements[k, 0]] + J[k] @ xi`` (see
     :meth:`element_points`); ``J`` (ne, 2, 2) has the edges from local
-    vertex 0 as columns, and ``detJ``, ``Jinv``, ``areas = detJ / 2`` and
-    the longest edge ``element_h`` come with it.
+    vertex 0 as columns, and ``detJ`` (twice the area), ``Jinv`` and the
+    longest edge ``element_h`` come with it.
 
     Derived connectivity (computed once):
 
@@ -142,7 +142,6 @@ class SpaceTimeMesh:
         Jinv[:, 1, 0] = -J[:, 1, 0] / det
         Jinv[:, 1, 1] = J[:, 0, 0] / det
         self.J, self.detJ, self.Jinv = J, det, Jinv
-        self.areas = 0.5 * det
 
         # one key lo*nv + hi per local edge; np.unique numbers the facets
         # in lexicographic vertex-pair order
@@ -416,7 +415,7 @@ def extract_slab(mesh, n):
     return SpaceTimeMesh._restricted(
         mesh.vertices[used], vmap[elems], mesh.slab_index[eids], "slab", mesh.box,
         J=mesh.J[eids], detJ=mesh.detJ[eids], Jinv=mesh.Jinv[eids],
-        areas=mesh.areas[eids], element_h=mesh.element_h[eids],
+        element_h=mesh.element_h[eids],
         facets=vmap[mesh.facets[fids]], facet_lengths=mesh.facet_lengths[fids],
         facet_elems=np.where(keep, emap[fe[rows, side]], -1),
         facet_locals=np.where(keep, mesh.facet_locals[rows, side], -1),
@@ -436,7 +435,7 @@ def validate_mesh(mesh):
     """
     tol = _VALIDATE_TOL
     scale = max(abs(v) for v in mesh.box) + 1.0
-    if not np.all(mesh.areas > 0):
+    if not np.all(mesh.detJ > 0):
         raise AssertionError("non-positive element area")
     inner = mesh.facet_elems[:, 1] >= 0
     nsum = mesh.facet_normals[inner, 0] + mesh.facet_normals[inner, 1]
@@ -527,7 +526,8 @@ def read_mesh(path_or_stream):
 
     Version 1 files, which carried a ``classified`` line after
     ``nslabs``, are read by skipping that line.  An ``nslabs`` line that
-    disagrees with the slab column is a ``ValueError``.
+    disagrees with the slab column is a ``ValueError``, and so is a vertex
+    strictly inside a facet, which assembly would take for boundary.
     """
     with _opened(path_or_stream, "r") as f:
         header = f.readline().split()
@@ -549,4 +549,8 @@ def read_mesh(path_or_stream):
                          (labels[:, :2], labels[:, 2]), mode, box)
     if mesh.n_slabs != n_slabs:
         raise ValueError(f"nslabs {n_slabs} disagrees with the slab column")
+    vert, fac = _hanging_pairs(mesh.vertices, mesh.facets, _VALIDATE_TOL,
+                               max(abs(v) for v in box) + 1.0)
+    if len(vert):
+        raise ValueError(f"vertex {vert[0]} hangs on facet {mesh.facets[fac[0]].tolist()}")
     return mesh

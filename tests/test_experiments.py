@@ -1,3 +1,4 @@
+import csv
 import itertools
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
                                run_relaxcompare, run_stagnation)
 from sthdg.hdg import assemble_blocks, condense
 from sthdg.krylov import BreakdownError
+from sthdg.mesh import MODES
 from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
                            solve_problem)
 from sthdg.sparsela import SingularBlockError
@@ -347,7 +349,8 @@ def test_cli_unknown_relaxation_exit_2(tmp_path, capsys):
     assert "relaxation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["theta_c = 2", "theta_r = -1"])
+# tol rides along: SolverParams checks its range as it does the thresholds'
+@pytest.mark.parametrize("line", ["theta_c = 2", "theta_r = -1", "tol = -1"])
 def test_cli_strength_threshold_out_of_range_exit_2(tmp_path, capsys, line):
     bad = tmp_path / "bad.ini"
     bad.write_text(f"[solver]\n{line}\n")
@@ -370,8 +373,25 @@ def test_degree_the_case_lacks_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["converge", "--case", "polyexact", "--p", "4", "--out", str(out)])
     assert code == 2
-    assert "p: " in capsys.readouterr().err
+    assert "] p: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("deformed", ["false", "true"], ids=["fixed", "moving"])
+def test_cli_slab_and_all_at_once_errors_agree(tmp_path, deformed):
+    # on the moving domain every slab has its own operator
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[experiment]\nladder = 4,8\ncycles = 1\ndeformed = {deformed}\n")
+    errors = []
+    for mode in MODES:
+        out = tmp_path / mode
+        assert main(["converge", "--config", str(ini), "--mode", mode,
+                     "--out", str(out)]) == 0
+        with open(out / "converge.csv") as fh:
+            errors.append([float(row["l2_error"]) for row in csv.DictReader(fh)])
+    a, b = errors
+    assert len(a) == len(b) == 2
+    assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(a, b)), errors
 
 
 @pytest.mark.parametrize("line", ["ladder = 0x4", "n0 = 0"])

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sthdg
+from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.mesh import (SIDE_NAMES, DeformationMap, SpaceTimeMesh,
                         bisect_refine, build_st_mesh, deform_mesh,
                         extract_slab, read_mesh, validate_mesh, write_mesh)
+from sthdg.solving import solve_problem
 
 
 def make(nx=4, nt=3, mode="all_at_once"):
@@ -79,7 +81,7 @@ def test_repeated_refinement_stays_valid():
                             replace=False)
         m = bisect_refine(m, marked)
         validate_mesh(m)
-    areas_total = m.areas.sum()
+    areas_total = 0.5 * m.detJ.sum()
     assert np.isclose(areas_total, 1.0, atol=1e-12)
 
 
@@ -260,6 +262,14 @@ def test_labeled_hanging_vertex_rejected_by_validate_mesh():
         validate_mesh(hanging_mesh())
 
 
+def test_mesh_io_rejects_a_hanging_vertex():
+    # assembly would treat both sides of the bisected diagonal as boundary
+    buf = io.StringIO()
+    write_mesh(hanging_mesh(), buf)
+    with pytest.raises(ValueError, match=r"^vertex 4 hangs on facet \[1, 2\]$"):
+        read_mesh(io.StringIO(buf.getvalue()))
+
+
 def test_validate_mesh_checks_under_optimize():
     # python -O strips assert statements; validate_mesh must still refuse
     paths = (Path(sthdg.__file__).parents[1], Path(__file__).resolve().parent)
@@ -307,6 +317,19 @@ def random_meshes(draw):
         m = extract_slab(m, n)
         assert m.n_slabs == m.slab_index.max() + 1 == n + 1
     return m
+
+
+@pytest.mark.parametrize("deformed", [False, True], ids=["fixed", "moving"])
+def test_slab_mesh_read_back_marches_the_same_slabs(deformed):
+    case = case_by_name("pulse1d", nu=1e-2, deformed=deformed)
+    mesh = build_case_mesh(case, 8, 8, mode="slab")
+    buf = io.StringIO()
+    write_mesh(mesh, buf)
+    back = read_mesh(io.StringIO(buf.getvalue()))
+    a, b = (solve_problem(m, 1, case.prob).slabs for m in (mesh, back))
+    assert len(a) == len(b) == 8
+    for (_, x), (_, y) in zip(a, b):
+        assert x.lam.tobytes() == y.lam.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

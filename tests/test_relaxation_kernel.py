@@ -8,7 +8,10 @@ and through whole solves, and the kernel must not grow memory per call.
 """
 
 import gc
+import os
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,15 @@ from sthdg.sparsela import BlockDiagonalScaling, unit_lower_kernel, unit_lower_s
 
 needs_kernel = pytest.mark.skipif(unit_lower_kernel() is None,
                                   reason="no C compiler to build the kernel")
+
+
+def test_kernel_builds_wherever_cc_runs():
+    # where it is not built, relaxation quietly runs the slower scipy path
+    cache = Path(sthdg.sparsela.__file__).parent / "__pycache__"
+    if shutil.which("cc") is None or not os.access(
+            cache if cache.is_dir() else cache.parent, os.W_OK):
+        pytest.skip("no cc, or the package's __pycache__ cannot be written")
+    assert unit_lower_kernel() is not None
 
 
 def pulse_levels(nu):
@@ -136,20 +148,29 @@ def test_fallback_solves_are_bitwise_equal(nu, relaxation, mode, monkeypatch):
 
 @needs_kernel
 def test_stage_solves_do_not_grow_memory():
-    # scipy's gstrs, behind spsolve_triangular, leaks on every call
+    # scipy's gstrs, behind spsolve_triangular, leaks on every call, so a
+    # leak grows every window of solves.  The kernel path does not leak,
+    # yet in a full test run its call line keeps a one-off step of up to
+    # 11.6 kB (56-byte blocks) in one window of 2000 solves, and little in
+    # the others.  So only allocations made in the solve's own frames
+    # count, and the smallest growth of three windows is bounded.
     A, labels, _ = pulse_levels(1e-1)[0]
     idx, solve = RelaxationPlan(A, "fgs", labels, block_size=1).stages[0]
     r = np.random.default_rng(1).standard_normal(A.shape[0])
-    tracemalloc.start()
+    own = [tracemalloc.Filter(True, sthdg.sparsela.__file__, all_frames=True)]
+    grown = []
+    tracemalloc.start(8)
     try:
         for _ in range(100):  # let lazy one-time allocations settle
             solve(r)
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(2000):
-            solve(r)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
+        for _ in range(3):
+            gc.collect()
+            before = tracemalloc.take_snapshot().filter_traces(own)
+            for _ in range(2000):
+                solve(r)
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(own)
+            grown.append(sum(s.size_diff for s in after.compare_to(before, "filename")))
     finally:
         tracemalloc.stop()
-    assert grown < 10_000
+    assert min(grown) < 10_000, grown

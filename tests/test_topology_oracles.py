@@ -15,14 +15,14 @@ t; it must report exactly the (vertex, facet) pairs of the loop that
 tests every vertex against every facet.  The element maps (``J``,
 ``detJ``, ``Jinv``) that ``SpaceTimeMesh`` computes once for every
 element, and the longest edges ``element_h`` it takes from them, must
-match a per-element loop bitwise, with ``areas`` exactly half the
-determinant.  ``extract_slab`` restricts its parent's arrays to the slab;
-every array of every slab mesh must equal the one the constructor builds
-from the slab's vertices, elements and side labels.  ``bisect_refine``
-computes its closure, midpoints and children by index arithmetic along
-chains of refinement-edge neighbours; the vertex and element numbering
-the dict-and-stack loop it replaced gives must hold bitwise, since the
-AIR coarsening and so the Krylov iteration counts depend on it.
+match a per-element loop bitwise.  ``extract_slab`` restricts its
+parent's arrays to the slab; every array of every slab mesh must equal
+the one the constructor builds from the slab's vertices, elements and
+side labels.  ``bisect_refine`` computes its closure, midpoints and
+children by index arithmetic along chains of refinement-edge
+neighbours; the vertex and element numbering the dict-and-stack loop it
+replaced gives must hold bitwise, since the AIR coarsening and so the
+Krylov iteration counts depend on it.
 """
 
 import io
@@ -148,7 +148,6 @@ def element_maps_loop(vertices, elements):
     J = np.empty((ne, 2, 2))
     detJ = np.empty(ne)
     Jinv = np.empty((ne, 2, 2))
-    areas = np.empty(ne)
     h = np.empty(ne)
     for k in range(ne):
         (t0, x0), (t1, x1), (t2, x2) = vertices[elements[k]].tolist()
@@ -158,11 +157,9 @@ def element_maps_loop(vertices, elements):
         J[k] = [[a, b], [c, d]]
         detJ[k] = det
         Jinv[k] = [[d / det, -b / det], [-c / det, a / det]]
-        areas[k] = 0.5 * det
         h[k] = max(np.hypot(t2 - t1, x2 - x1), np.hypot(t0 - t2, x0 - x2),
                    np.hypot(t1 - t0, x1 - x0))
-    return {"J": J, "detJ": detJ, "Jinv": Jinv, "areas": areas,
-            "element_h": h}
+    return {"J": J, "detJ": detJ, "Jinv": Jinv, "element_h": h}
 
 
 def extract_slab_rebuilt(mesh, n):
@@ -332,7 +329,6 @@ def assert_connectivity_matches_loop(mesh):
     want.update(element_maps_loop(mesh.vertices, mesh.elements))
     for name, arr in want.items():
         assert same_bits(getattr(mesh, name), arr), name
-    assert same_bits(mesh.areas, 0.5 * mesh.detJ)
 
 
 @pytest.mark.parametrize("nx, nt", [(1, 1), (1, 4), (5, 1), (3, 3), (4, 7),
@@ -369,7 +365,7 @@ def test_every_slab_matches_loop():
         validate_mesh(sub)
 
 
-MESH_ARRAYS = ("vertices", "elements", "slab_index", "J", "detJ", "Jinv", "areas",
+MESH_ARRAYS = ("vertices", "elements", "slab_index", "J", "detJ", "Jinv",
                "element_h", "facets", "facet_lengths", "facet_locals",
                "facet_normals", "facet_elems", "elem_facets", "boundary_sides")
 
