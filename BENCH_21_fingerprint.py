@@ -3,8 +3,8 @@
 Run from a checkout's root; it imports sthdg from that checkout's ``src/``
 through perfbench's loader, with one BLAS thread:
 
-    python3 BENCH_21_fingerprint.py            # default relaxation path
-    python3 BENCH_21_fingerprint.py --fallback # scipy's spsolve_triangular
+    python3 BENCH_21_fingerprint.py            # the compiled kernels
+    python3 BENCH_21_fingerprint.py --fallback # every kernel's Python twin
 
 For each workload at seeds 0 and 1 it prints one JSON object holding, per
 (workload, seed), the digest of every AIR hierarchy built (each level's
@@ -12,6 +12,10 @@ A, R, P and labels, and the lAIR fallback count), of every solve's
 ``lam`` and ``U``, and the iteration count and ``l2_error``.  Two sides
 are bitwise equal when their objects are equal; digests depend on the
 machine and the BLAS, so compare sides run on one box.
+
+``--fallback`` turns every kernel off through ``sthdg._compiled.kernel``,
+the one loader, and exits non-zero where a checkout has no such loader,
+since patching a name that nothing reads would turn off nothing.
 """
 
 import hashlib
@@ -74,8 +78,13 @@ def fingerprint(w, seed):
 
 def main(argv):
     if "--fallback" in argv:
-        import sthdg.sparsela
-        sthdg.sparsela.unit_lower_kernel = lambda: None
+        try:
+            import sthdg._compiled as compiled
+        except ImportError:
+            compiled = None
+        if not callable(getattr(compiled, "kernel", None)):
+            sys.exit("--fallback: no kernel loader sthdg._compiled.kernel to turn off")
+        compiled.kernel = lambda name: None
     out = {f"{name}@{seed}": fingerprint(w, seed)
            for name, w in harness.WORKLOADS.items() for seed in (0, 1)}
     print(json.dumps(out, indent=1, sort_keys=True))

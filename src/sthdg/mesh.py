@@ -526,8 +526,9 @@ def read_mesh(path_or_stream):
 
     Version 1 files, which carried a ``classified`` line after
     ``nslabs``, are read by skipping that line.  An ``nslabs`` line that
-    disagrees with the slab column is a ``ValueError``, and so is a vertex
-    strictly inside a facet, which assembly would take for boundary.
+    disagrees with the slab column is a ``ValueError``, and so are an
+    element vertex id outside the vertex list and a vertex strictly inside
+    a facet, which assembly would take for boundary.
     """
     with _opened(path_or_stream, "r") as f:
         header = f.readline().split()
@@ -545,6 +546,10 @@ def read_mesh(path_or_stream):
         nb = int(f.readline().split()[1])
         labels = np.loadtxt(f, dtype=np.int64, max_rows=nb, ndmin=2,
                             converters={2: _SIDE_ID.__getitem__})
+    k, j = np.nonzero((rows[:, :3] < 0) | (rows[:, :3] >= len(verts)))
+    if len(k):
+        raise ValueError(f"element row {k[0]} names vertex {rows[k[0], j[0]]}, "
+                         f"not one of the {len(verts)} vertices")
     mesh = SpaceTimeMesh(verts, rows[:, :3], rows[:, 3],
                          (labels[:, :2], labels[:, 2]), mode, box)
     if mesh.n_slabs != n_slabs:

@@ -5,39 +5,32 @@ entry lookup, block-diagonal CSR construction, block-diagonal scaling,
 guarded dense LU, unit lower triangular solves, and a Matrix Market
 writer whose 17 significant digits read back to the same doubles.
 
-The triangular solve runs in a small C kernel, compiled on first use by
-the system C compiler and cached in this package's ``__pycache__``;
-where none can be built, scipy's ``spsolve_triangular`` runs instead,
-with bitwise the same result.
+The triangular solve runs in the ``unit_lower_solve`` kernel of
+:mod:`sthdg._compiled`; where none can be built, scipy's
+``spsolve_triangular`` runs instead, with bitwise the same result.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import os
-import subprocess
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import _compiled
 from .krylov import SolverFailure
 
 __all__ = [
     "SingularBlockError",
     "validate_csr",
     "csr_gather",
+    "csr_gatherer",
     "block_diag_csr",
     "BlockDiagonalScaling",
     "block_diag_inverse_scale",
     "DenseLU",
-    "unit_lower_kernel",
     "unit_lower_solver",
     "write_matrix_market",
 ]
@@ -68,17 +61,24 @@ def csr_gather(A, rows, cols):
     One binary search of the keys ``row * ncols + col`` in the row-major
     entry order of ``A``, which must be canonical (see :func:`validate_csr`).
     """
-    rows, cols = np.broadcast_arrays(rows, cols)
-    out = np.zeros(rows.shape)
-    if A.nnz:
-        ncols = A.shape[1]
-        rowid = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        keys = rowid * ncols + A.indices
-        want = rows.astype(np.int64) * ncols + cols
-        pos = np.minimum(np.searchsorted(keys, want), A.nnz - 1)
-        hit = keys[pos] == want
-        out[hit] = A.data[pos[hit]]
-    return out
+    return csr_gatherer(A)(rows, cols)
+
+
+def csr_gatherer(A):
+    """:func:`csr_gather` on ``A`` as a function ``(rows, cols) -> entries``;
+    the keys of ``A`` are built once, for all of its calls."""
+    ncols = A.shape[1]
+    rowid = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    # a key past every entry's, holding 0, ends each search inside the arrays
+    keys = np.append(rowid * ncols + A.indices, A.shape[0] * ncols)
+    data = np.append(A.data, 0.0)
+
+    def gather(rows, cols):
+        want = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols)
+        pos = np.searchsorted(keys, want)
+        return np.where(keys[pos] == want, data[pos], 0.0)
+
+    return gather
 
 
 def block_diag_csr(blocks):
@@ -149,56 +149,6 @@ class DenseLU:
 
 # -- unit lower triangular solve ----------------------------------------
 
-# Forward substitution by columns with a unit lower triangular CSC matrix
-# whose columns store their diagonal first (it is skipped, not read).  This
-# is the update, in the order, that SuperLU's dgstrs makes for one-column
-# supernodes, which is how scipy's spsolve_triangular hands L to it.
-_UNIT_LOWER_SOURCE = """\
-void unit_lower_solve(int n, const int *indptr, const int *indices,
-                      const double *data, double *x)
-{
-    for (int j = 0; j < n; ++j) {
-        double xj = x[j];
-        for (int p = indptr[j] + 1; p < indptr[j + 1]; ++p)
-            x[indices[p]] -= xj * data[p];
-    }
-}
-"""
-# no FMA contraction: xj * data[p] is rounded before the subtraction, as in dgstrs
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-@functools.cache
-def unit_lower_kernel():
-    """The compiled ``unit_lower_solve`` as a ctypes function, or None.
-
-    Built once by ``cc`` into this package's ``__pycache__``, under the
-    SHA-256 of the source and flags, and loaded from there by later
-    processes.  None where no compiler runs or the cache cannot be written.
-    """
-    key = hashlib.sha256("\0".join((_UNIT_LOWER_SOURCE,) + _CFLAGS).encode())
-    cache = Path(__file__).parent / "__pycache__"
-    lib = cache / f"unit_lower_{key.hexdigest()}.so"
-    try:
-        if not lib.exists():
-            cache.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", tmp],
-                               input=_UNIT_LOWER_SOURCE, text=True,
-                               capture_output=True, check=True)
-                os.replace(tmp, lib)  # atomic: a concurrent build is harmless
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        kernel = ctypes.CDLL(str(lib)).unit_lower_solve
-    except (OSError, subprocess.SubprocessError):
-        return None
-    kernel.argtypes = [ctypes.c_int] + [ctypes.c_void_p] * 4
-    kernel.restype = None
-    return kernel
-
 
 def unit_lower_solver(L):
     """Return ``r -> L^{-1} r`` for a unit lower triangular CSC matrix ``L``.
@@ -206,8 +156,8 @@ def unit_lower_solver(L):
     ``L`` must be square and canonical (sorted indices, no duplicates), every
     column storing its diagonal first, as a lower triangular matrix with a
     full diagonal does; the diagonal's values are taken to be 1.  Solves
-    run in :func:`unit_lower_kernel`, or by ``spsolve_triangular`` where
-    the kernel is not available; both give bitwise the same result.
+    run in the compiled ``unit_lower_solve``, or by ``spsolve_triangular``
+    where the kernel is not available; both give bitwise the same result.
     """
     n = L.shape[0]
     indptr = L.indptr.astype(np.intc, copy=False)
@@ -217,18 +167,18 @@ def unit_lower_solver(L):
             and np.array_equal(indices[indptr[:-1]], np.arange(n))):
         raise ValueError("L must be square canonical CSC with every column's "
                          "diagonal first")
-    kernel = unit_lower_kernel()
+    kernel = _compiled.kernel("unit_lower_solve")
     if kernel is None:
         return lambda r: spla.spsolve_triangular(L, r, lower=True,
                                                  unit_diagonal=True)
     arrays = (indptr, indices, L.data.astype(np.float64, copy=False))
-    args = (n, *(a.ctypes.data for a in arrays))
+    args = (n, *map(_compiled.address, arrays))
 
     def solve(r):
         x = np.array(r, dtype=np.float64)  # contiguous: the kernel writes it
         if x.shape != (n,):
             raise ValueError(f"right-hand side must have shape ({n},)")
-        kernel(*args, x.ctypes.data)
+        kernel(*args, _compiled.address(x))
         return x
 
     solve.arrays = arrays  # owns the buffers that ``args`` point into

@@ -56,6 +56,12 @@ def test_rs_coarsen_covers_every_point():
             assert np.any(labels[deps] == C_POINT)
 
 
+def test_rs_coarsen_rejects_a_graph_that_is_not_square():
+    # its kernel would read column ids as points past the row count
+    with pytest.raises(ValueError, match=r"square, not \(3, 4\)"):
+        rs_coarsen(sp.csr_matrix(np.eye(3, 4)))
+
+
 def test_rs_coarsen_isolated_points_become_f():
     # diagonal matrix: relaxation alone solves it, nothing to coarsen
     A = sp.identity(12, format="csr")

@@ -7,23 +7,26 @@ through :func:`sthdg.sparsela.csr_gather`, and ``one_point_interpolation``
 builds P without a per-row loop.  The row-by-row and block-by-block
 versions they replaced are kept here as oracles, and the new code must
 reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
-fallback count.  ``rs_coarsen`` keys its heap with plain ints; the
-numpy-scalar heap loop with ``(-measure, i)`` tuples, a stale-entry
-test and a second pass is kept as its oracle, and the label vectors
-must match it bitwise.  ``strength_graph`` builds the graphs of
-several thresholds in one pass; each must equal its single-threshold
-graph, and a hierarchy built from the oracles, one graph per call, must
-equal ``build_hierarchy``'s level by level.
+fallback count.  ``rs_coarsen`` keys its heap with plain ints, in the
+compiled ``rs_split`` or, where that cannot be built, in a Python loop;
+the numpy-scalar heap loop with ``(-measure, i)`` tuples, a stale-entry
+test and a second pass is kept as their oracle, and the label vectors
+of both paths must match it bitwise.  ``strength_graph`` builds the
+graphs of several thresholds in one pass; each must equal its
+single-threshold graph, and a hierarchy built from the oracles, one
+graph per call, must equal ``build_hierarchy``'s level by level.
 """
 
 import heapq
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import sthdg._compiled
 from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS,
                        build_hierarchy, galerkin_coarse,
                        lair_restriction, one_point_interpolation, rs_coarsen,
@@ -299,7 +302,20 @@ def shaped_graphs():
         ("chain_and_isolated", graph(6, [(0, 1), (1, 2), (2, 3)])),
         ("bipartite", graph(8, [(i, j) for i in range(4) for j in range(4, 8)])),
         ("grid", graph(25, grid)),
+        ("empty", graph(0, [])),
+        ("star", star_graph(20, 20)),
     ]
+
+
+def star_graph(leaves, tips):
+    """Point 0 is depended on by ``leaves`` points, each of which also
+    depends on all ``tips`` points.  Point 0 becomes C first, and its
+    dependents then raise every tip once per leaf: the splitting's heap
+    holds n - 1 + leaves * tips keys, near its bound n + nnz."""
+    leaf = range(1, leaves + 1)
+    tip = range(leaves + 1, leaves + tips + 1)
+    return graph(1 + leaves + tips,
+                 [(k, 0) for k in leaf] + [(k, t) for k in leaf for t in tip])
 
 
 SHAPED = shaped_graphs()
@@ -316,6 +332,16 @@ def assert_csr_bitwise(new, old):
 def assert_cf_bitwise(new, old):
     assert new.dtype == old.dtype
     assert new.tobytes() == old.tobytes()
+
+
+def rs_coarsen_both(g):
+    """``rs_coarsen``'s labels on ``g`` from the compiled kernel and from
+    the Python loop it falls back to; equal bitwise, and returned."""
+    cf = rs_coarsen(g)
+    with mock.patch.object(sthdg._compiled, "kernel", lambda name: None):
+        loop = rs_coarsen(g)
+    assert_cf_bitwise(cf, loop)
+    return cf
 
 
 def assert_f_points_see_c(S, labels):
@@ -430,12 +456,12 @@ def test_diagonal_blocks_match_loop_with_gaps_and_zeros():
         assert got.tobytes() == np.linalg.inv(old).tobytes()
 
 
-@pytest.mark.parametrize("nu", [1e-6, 1e-1])
+@pytest.mark.parametrize("nu", [1e-6, 1e-2, 1e-1])
 def test_rs_coarsen_matches_loop_on_every_pulse_level(nu):
     h = pulse_system(nu)[2]
     for lev in h.levels:
         g = strength_graph(lev.A, SolverParams().theta_c)[0]
-        cf = rs_coarsen(g)
+        cf = rs_coarsen_both(g)
         assert_cf_bitwise(cf, _rs_coarsen_loop(g))
         if lev.labels is not None:
             assert_cf_bitwise(lev.labels, cf)
@@ -454,7 +480,7 @@ def test_every_pulse_level_has_c_identity_in_r_and_one_point_p(nu):
 
 @pytest.mark.parametrize("name,g", SHAPED, ids=[c[0] for c in SHAPED])
 def test_rs_coarsen_matches_loop_on_shaped_graphs(name, g):
-    cf = rs_coarsen(g)
+    cf = rs_coarsen_both(g)
     assert_cf_bitwise(cf, _rs_coarsen_loop(g))
     assert_f_points_see_c(g, cf)
 
@@ -462,7 +488,7 @@ def test_rs_coarsen_matches_loop_on_shaped_graphs(name, g):
 @settings(max_examples=300, deadline=None)
 @given(g=strength_graphs())
 def test_rs_coarsen_matches_loop_on_random_graphs(g):
-    cf = rs_coarsen(g)
+    cf = rs_coarsen_both(g)
     assert_cf_bitwise(cf, _rs_coarsen_loop(g))
     assert set(cf.tolist()) <= {C_POINT, F_POINT}
     isolated = (np.diff(g.indptr) == 0) & (np.diff(g.tocsc().indptr) == 0)
@@ -471,3 +497,21 @@ def test_rs_coarsen_matches_loop_on_random_graphs(g):
     # the first pass alone already satisfies the invariant, so the
     # oracle's second pass never promotes a point
     assert_f_points_see_c(g, _rs_first_pass_loop(g))
+
+
+def test_star_graph_fills_the_splitting_heap_near_its_bound(monkeypatch):
+    # the oracle's heap holds what the kernel's does: one key per point
+    # at the start, one more per measure raise, one fewer per pop
+    g = star_graph(20, 20)
+    peak = 0
+    push = heapq.heappush
+
+    def counting_push(heap, item):
+        nonlocal peak
+        push(heap, item)
+        peak = max(peak, len(heap))
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    _rs_first_pass_loop(g)
+    assert peak == g.shape[0] - 1 + 20 * 20
+    assert peak >= 0.95 * (g.shape[0] + g.nnz)

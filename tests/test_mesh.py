@@ -190,6 +190,16 @@ def test_mesh_io_rejects_nslabs_other_than_the_slab_column(line):
         read_mesh(io.StringIO(buf.getvalue().replace("nslabs 8", line)))
 
 
+@pytest.mark.parametrize("row, vertex", [("9 2 1 0", 9), ("-6 2 1 0", -6),
+                                         ("0 2 6 0", 6)])
+def test_mesh_io_rejects_an_element_vertex_outside_the_vertex_list(row, vertex):
+    # -6 would wrap around to vertex 0 and leave an unlabelled boundary facet
+    text = MESH_V1.replace("\n0 2 1 0\n", f"\n{row}\n")
+    with pytest.raises(ValueError, match=rf"^element row 0 names vertex {vertex}, "
+                                         r"not one of the 6 vertices$"):
+        read_mesh(io.StringIO(text))
+
+
 def test_mesh_io_rejects_an_unknown_mode():
     text = MESH_V1.replace("mode slab", "mode slabs")
     with pytest.raises(ValueError, match="unknown mode 'slabs'"):

@@ -1,10 +1,12 @@
 """The C triangular-solve kernel against scipy's spsolve_triangular.
 
 Relaxation's pointwise stages solve with
-:func:`sthdg.sparsela.unit_lower_solver`, which runs a compiled C kernel
-and falls back to ``spsolve_triangular`` where none can be built.  The
-fallback is also the oracle: both must agree bit for bit, stage by stage
-and through whole solves, and the kernel must not grow memory per call.
+:func:`sthdg.sparsela.unit_lower_solver`, which runs the compiled
+``unit_lower_solve`` of :mod:`sthdg._compiled` and falls back to
+``spsolve_triangular`` where none can be built.  The fallback is also
+the oracle: both must agree bit for bit, stage by stage and through
+whole solves.  Every kernel of the module must build wherever ``cc``
+runs, and no kernel call may grow memory.
 """
 
 import gc
@@ -19,24 +21,30 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import sthdg._compiled
+import sthdg.air
 import sthdg.sparsela
-from sthdg.air import RELAXATIONS, RelaxationPlan, build_hierarchy
+from sthdg.air import (RELAXATIONS, RelaxationPlan, build_hierarchy, rs_coarsen,
+                       strength_graph)
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import assemble_blocks, condense
 from sthdg.solving import SolverParams, solve_problem
-from sthdg.sparsela import BlockDiagonalScaling, unit_lower_kernel, unit_lower_solver
+from sthdg.sparsela import BlockDiagonalScaling, unit_lower_solver
 
-needs_kernel = pytest.mark.skipif(unit_lower_kernel() is None,
+needs_kernel = pytest.mark.skipif(sthdg._compiled.kernel("unit_lower_solve") is None,
                                   reason="no C compiler to build the kernel")
 
 
 def test_kernel_builds_wherever_cc_runs():
-    # where it is not built, relaxation quietly runs the slower scipy path
-    cache = Path(sthdg.sparsela.__file__).parent / "__pycache__"
+    # where they are not built, relaxation and the CF splitting quietly
+    # run their slower Python paths
+    cache = Path(sthdg._compiled.__file__).parent / "__pycache__"
     if shutil.which("cc") is None or not os.access(
             cache if cache.is_dir() else cache.parent, os.W_OK):
         pytest.skip("no cc, or the package's __pycache__ cannot be written")
-    assert unit_lower_kernel() is not None
+    unbound = [name for name in sthdg._compiled.SIGNATURES
+               if sthdg._compiled.kernel(name) is None]
+    assert not unbound, unbound
 
 
 def pulse_levels(nu):
@@ -69,7 +77,7 @@ def test_every_stage_of_every_level_matches_the_oracle(nu, monkeypatch):
             bsize = b if scheme == "ordered_block_gs" else 1
             plan = RelaxationPlan(A, scheme, labels, block_size=bsize)
             with monkeypatch.context() as m:
-                m.setattr(sthdg.sparsela, "unit_lower_kernel", lambda: None)
+                m.setattr(sthdg._compiled, "kernel", lambda name: None)
                 oracle = RelaxationPlan(A, scheme, labels, block_size=bsize)
             for (idx, solve), (_, solve_ref) in zip(plan.stages, oracle.stages):
                 r = rng.standard_normal(A.shape[0])[idx]
@@ -137,7 +145,7 @@ def test_fallback_solves_are_bitwise_equal(nu, relaxation, mode, monkeypatch):
     mesh = build_case_mesh(case, 8, 8, mode=mode)
     params = SolverParams(relaxation=relaxation)
     sol = solve_problem(mesh, 2, case.prob, params)
-    monkeypatch.setattr(sthdg.sparsela, "unit_lower_kernel", lambda: None)
+    monkeypatch.setattr(sthdg._compiled, "kernel", lambda name: None)
     ref = solve_problem(mesh, 2, case.prob, params)
     parts = sol.slabs if mode == "slab" else [(mesh, sol)]
     ref_parts = ref.slabs if mode == "slab" else [(mesh, ref)]
@@ -146,31 +154,45 @@ def test_fallback_solves_are_bitwise_equal(nu, relaxation, mode, monkeypatch):
         assert same_bits(s.lam, t.lam) and same_bits(s.U, t.U)
 
 
-@needs_kernel
-def test_stage_solves_do_not_grow_memory():
-    # scipy's gstrs, behind spsolve_triangular, leaks on every call, so a
-    # leak grows every window of solves.  The kernel path does not leak,
-    # yet in a full test run its call line keeps a one-off step of up to
-    # 11.6 kB (56-byte blocks) in one window of 2000 solves, and little in
-    # the others.  So only allocations made in the solve's own frames
-    # count, and the smallest growth of three windows is bounded.
-    A, labels, _ = pulse_levels(1e-1)[0]
-    idx, solve = RelaxationPlan(A, "fgs", labels, block_size=1).stages[0]
-    r = np.random.default_rng(1).standard_normal(A.shape[0])
-    own = [tracemalloc.Filter(True, sthdg.sparsela.__file__, all_frames=True)]
+def smallest_growth(call, files, calls):
+    """Bytes retained by ``calls`` calls of ``call`` in allocations made
+    within ``files``, the least of three windows, after lazy one-time
+    allocations have settled."""
+    own = [tracemalloc.Filter(True, f, all_frames=True) for f in files]
     grown = []
     tracemalloc.start(8)
     try:
-        for _ in range(100):  # let lazy one-time allocations settle
-            solve(r)
+        for _ in range(calls // 20):
+            call()
         for _ in range(3):
             gc.collect()
             before = tracemalloc.take_snapshot().filter_traces(own)
-            for _ in range(2000):
-                solve(r)
+            for _ in range(calls):
+                call()
             gc.collect()
             after = tracemalloc.take_snapshot().filter_traces(own)
             grown.append(sum(s.size_diff for s in after.compare_to(before, "filename")))
     finally:
         tracemalloc.stop()
-    assert min(grown) < 10_000, grown
+    return min(grown), grown
+
+
+@needs_kernel
+def test_stage_solves_do_not_grow_memory():
+    # scipy's gstrs, behind spsolve_triangular, leaks on every call, so a
+    # leak grows every window of calls.  Kernel calls pass raw addresses
+    # from __array_interface__: reading ``a.ctypes.data`` instead made a
+    # ctypes object per call and left a one-off step of up to 11.6 kB in
+    # one window of a full test run.  Only allocations made in the
+    # package's own frames count, and the smallest growth of three
+    # windows is bounded, for the triangular solve and the CF splitting.
+    A, labels, _ = pulse_levels(1e-1)[0]
+    idx, solve = RelaxationPlan(A, "fgs", labels, block_size=1).stages[0]
+    r = np.random.default_rng(1).standard_normal(A.shape[0])
+    files = [sthdg.sparsela.__file__, sthdg._compiled.__file__]
+    least, grown = smallest_growth(lambda: solve(r), files, 2000)
+    assert least < 10_000, grown
+    g = strength_graph(A, SolverParams().theta_c)[0]
+    least, grown = smallest_growth(lambda: rs_coarsen(g),
+                                   files + [sthdg.air.__file__], 200)
+    assert least < 10_000, grown
