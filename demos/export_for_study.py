@@ -2,8 +2,10 @@
 Exporting the facet system for standalone study
 ===============================================
 
-Dump the condensed operator, right-hand side, and the coarse/fine
-splitting AIR chose, in formats any sparse toolbox reads.
+Dump the condensed operator and right-hand side as the solver prepares
+them (block-scaled by default), and the coarse/fine splitting of the
+finest level of the AIR hierarchy it builds, in formats any sparse
+toolbox reads.
 """
 
 import tempfile

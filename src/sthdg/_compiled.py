@@ -3,13 +3,15 @@
 Every kernel is a function of :data:`_SOURCE`.  The library is compiled
 once by the system C compiler ``cc`` into this package's ``__pycache__``,
 under the SHA-256 of the source and flags, and loaded from there by later
-processes; nothing is built at import.  :func:`kernel` returns a kernel
-bound to its :data:`SIGNATURES` entry, or None where no compiler runs or
-the cache cannot be written; each caller then runs its Python twin,
-which gives bitwise the same result.  Arrays are passed as the raw
-addresses of :func:`address`.
+processes; nothing is built at import, and a build deletes the libraries
+that earlier sources left there.  :func:`kernel` returns a kernel bound
+to its :data:`SIGNATURES` entry, or None where no compiler runs or the
+cache cannot be written; each caller then runs its Python twin, which
+gives bitwise the same result.  Arrays are passed as the raw addresses
+of :func:`address`.
 """
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -92,6 +94,10 @@ def _library():
                 subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", f"{tmp}/k.so"],
                                input=_SOURCE, text=True, capture_output=True, check=True)
                 os.replace(f"{tmp}/k.so", lib)  # atomic: a concurrent build is harmless
+            # libraries of earlier sources, and of the retired unit_lower loader
+            for stale in {*lib.parent.glob("kernels_*.so"), *lib.parent.glob("unit_lower_*.so")} - {lib}:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         return ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError):
         return None

@@ -14,7 +14,6 @@ import numpy as np
 from . import cases, hdg, solving
 from .basis import REF_VERTICES, triangle_basis
 from .mesh import bisect_refine
-from .quadrature import triangle_rule
 
 
 def zz_estimate(mesh, U, p):
@@ -26,12 +25,11 @@ def zz_estimate(mesh, U, p):
     globally linear fields, so eta vanishes there.
     """
     ne = mesh.n_elements
-    basis = triangle_basis(p)
     coeffs = U.reshape(ne, -1)
     detJ, Jinv = mesh.detJ, mesh.Jinv
 
     # element gradient at the three vertices, physical components (t, x)
-    gref_v = basis.grad(REF_VERTICES)
+    gref_v = triangle_basis(p).grad(REF_VERTICES)
     du_v = np.einsum("ei,vid,edc->evc", coeffs, gref_v, Jinv)
 
     nv = len(mesh.vertices)
@@ -42,10 +40,10 @@ def zz_estimate(mesh, U, p):
         np.add.at(wsum, mesh.elements[:, i], detJ)
     gvert = gsum / wsum[:, None]
 
-    rq, rw = triangle_rule(2 * p + 2)
+    # assembly's quadrature rule and reference gradients at its points
+    rq, rw, _, gref_q = hdg._tables(p)[:4]
     hat = np.stack([1.0 - rq[:, 0] - rq[:, 1], rq[:, 0], rq[:, 1]], axis=1)
     grec = np.einsum("qv,evc->eqc", hat, gvert[mesh.elements])
-    gref_q = basis.grad(rq)
     du_q = np.einsum("ei,qid,edc->eqc", coeffs, gref_q, Jinv)
     diff2 = np.sum((grec - du_q) ** 2, axis=2)
     eta2 = np.einsum("q,eq->e", rw, diff2) * detJ

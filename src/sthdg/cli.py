@@ -36,7 +36,7 @@ def build_parser():
         cmd = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
         cmd.add_argument("--config", default=None, metavar="PATH",
                          help="INI config file overlaying the defaults")
-        cmd.add_argument("--out", default=None, metavar="DIR",
+        cmd.add_argument("--out", dest="outdir", default=None, metavar="DIR",
                          help="output directory")
         cmd.add_argument("--case", default=None, choices=CASES)
         cmd.add_argument("--p", type=int, default=None,
@@ -53,19 +53,13 @@ def main(argv=None):
     if args.command == "defaults":
         print(defaults_text(), end="")
         return 0
-    overrides = {}
-    if args.out is not None:
-        overrides["outdir"] = args.out
-    if args.case is not None:
-        overrides["case"] = args.case
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.nu is not None:
-        overrides["nus"] = (args.nu,)
-    if args.mode is not None:
-        overrides["mode"] = args.mode
+    # every flag but --config names its setting; --nu replaces the nus list
+    flags = {key: val for key, val in vars(args).items()
+             if val is not None and key not in ("command", "config")}
+    if "nu" in flags:
+        flags["nus"] = (flags.pop("nu"),)
     try:
-        cfg = ExperimentConfig.from_ini(args.config, overrides)
+        cfg = ExperimentConfig.from_ini(args.config, flags)
         paths = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,7 +29,10 @@ of :func:`sthdg.solving.solve_problem` (``mesh.extract_slab`` and
 ``sparsela.block_scaling``, ``air.setup``, ``krylov.bicgstab``,
 ``hdg.reconstruct``) and ``hdg.error``.  ``stagnation`` books the stages
 of its one solve; ``relaxcompare``, ``ordercheck`` and ``export`` write
-only the total.
+only the total.  ``stagnation``, ``ordercheck`` and ``export`` study the
+all-at-once system of the last ladder entry, and ``export`` writes it as
+:func:`~sthdg.solving.prepare_operator` prepares it for a solve, with
+the CF splitting of the finest level of that operator's hierarchy.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ import io
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .air import RELAXATIONS, RelaxationPlan, rs_coarsen, strength_graph
+from .air import RELAXATIONS, RelaxationPlan
 from .amr import amr_loop
 from .cases import CASES, build_case_mesh, case_by_name
 from .hdg import assemble_blocks, condense, lambda_dof_positions, \
@@ -59,19 +62,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "run_converge",
            "run_iterations", "run_stagnation", "run_amr",
            "run_relaxcompare", "run_ordercheck", "run_export",
            "defaults_text"]
-
-# INI section of every setting, in the order ``sthdg defaults`` prints
-# them; a [solver] key is a SolverParams field, any other an
-# ExperimentConfig field, and the defaults are the dataclasses' own
-_SECTIONS = {
-    "case": "experiment", "mode": "experiment", "p": "experiment",
-    "nus": "experiment", "ladder": "experiment", "cycles": "experiment",
-    "n0": "experiment", "fraction": "experiment", "deformed": "experiment",
-    "tol": "solver", "maxiter": "solver", "relaxation": "solver",
-    "theta_c": "solver", "theta_r": "solver", "scale_blocks": "solver",
-    "outdir": "output",
-}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (bad key, value, or file)."""
@@ -178,8 +168,9 @@ class ExperimentConfig:
             raise ConfigError("[experiment] fraction: must lie in (0, 1]")
 
     @classmethod
-    def from_ini(cls, path=None, overrides=None):
-        """The defaults, overlaid by an INI file, then by explicit overrides.
+    def from_ini(cls, path, overrides):
+        """The defaults, overlaid by the INI file ``path`` (none if None),
+        then by explicit overrides.
 
         ``overrides`` maps setting names (``case``, ``tol``, ...) to
         string or already-typed values.  INI values and string overrides
@@ -204,7 +195,7 @@ class ExperimentConfig:
                     if _SECTIONS.get(key) != sec:
                         raise ConfigError(f"unknown config key [{sec}] {key}")
                     given[key] = text
-        for key, val in (overrides or {}).items():
+        for key, val in overrides.items():
             if key not in _SECTIONS:
                 raise ConfigError(f"unknown config override {key!r}")
             given[key] = val
@@ -226,6 +217,20 @@ class ExperimentConfig:
         """The case at each of ``nus``, in order, once per distinct case ν."""
         cases = map(self.make_case, self.nus)
         return list({case.prob.nu: case for case in cases}.values())
+
+
+# INI section of every setting, in the order ``sthdg defaults`` prints
+# them, with the dataclasses' own defaults: the ExperimentConfig fields
+# but ``solver`` and ``outdir`` under [experiment], the SolverParams
+# fields but ``raise_on_failure`` under [solver], and ``outdir`` alone
+# under [output]
+_SECTIONS = {
+    **{f.name: "experiment" for f in fields(ExperimentConfig)
+       if f.name not in ("solver", "outdir")},
+    **{f.name: "solver" for f in fields(SolverParams)
+       if f.name != "raise_on_failure"},
+    "outdir": "output",
+}
 
 
 def _default(key):
@@ -303,6 +308,13 @@ def _solve_entry(cfg, case, nx, nt, params, stages):
             "elements": mesh.n_elements}
 
 
+def _last_entry(cfg, case):
+    """The all-at-once mesh of the last ladder entry and its condensed
+    system, for the runners that study one system."""
+    mesh = build_case_mesh(case, *cfg.ladder[-1], mode="all_at_once")
+    return mesh, condense(assemble_blocks(mesh, cfg.p, case.prob))
+
+
 def run_converge(cfg):
     """Uniform-refinement error table; one row per (nu, ladder entry)."""
     with _frame(cfg) as (out, stages):
@@ -344,9 +356,7 @@ def run_stagnation(cfg):
     """
     with _frame(cfg) as (out, stages):
         case = cfg.make_case(cfg.nus[0])
-        nx, nt = cfg.ladder[-1]
-        mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-        cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
+        mesh, cs = _last_entry(cfg, case)
         iterates = []
         operator = prepare_operator(cs, cfg.solver, stages)
         sol = solve_condensed(
@@ -426,11 +436,9 @@ def run_ordercheck(cfg):
     that sweep an exact solve; cyclic couplings are reported per block.
     """
     with _frame(cfg) as (out, _):
-        nx, nt = cfg.ladder[-1]
         rows = []
         for case in cfg.distinct_cases():
-            mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-            cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
+            _, cs = _last_entry(cfg, case)
             scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
             Ss, Hs = scaling.matrix, scaling.apply(cs.H)
             plan = RelaxationPlan(Ss, "ordered_block_gs",
@@ -449,28 +457,28 @@ def run_ordercheck(cfg):
 def run_export(cfg):
     """Write the facet system and its CF splitting for standalone study.
 
-    Emits the (scaled, if configured) Schur complement and right-hand
-    side in Matrix Market form, the facet block size, and one CF label
-    per matrix row tagged with its facet midpoint.
+    The last ladder entry's system is prepared as a solve prepares it
+    (:func:`~sthdg.solving.prepare_operator`), so the files hold what the
+    iteration sees: the Schur complement and right-hand side (block-scaled
+    unless ``scale_blocks`` is off) in Matrix Market form, the facet block
+    size, and per matrix row, tagged with its facet midpoint, its label in
+    the CF splitting of the hierarchy's finest level.  Where that level is
+    not coarsened, it goes whole to the dense coarse solve, and every row
+    is written as ``C``.  A setup failure raises, as in a solve.
     """
     with _frame(cfg) as (out, _):
-        case = cfg.make_case(cfg.nus[0])
-        nx, nt = cfg.ladder[-1]
-        mesh = build_case_mesh(case, nx, nt, mode="all_at_once")
-        cs = condense(assemble_blocks(mesh, cfg.p, case.prob))
-        Ss, Hs = cs.S, cs.H
-        if cfg.solver.scale_blocks:
-            scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
-            Ss, Hs = scaling.matrix, scaling.apply(cs.H)
-        write_matrix_market(out / "system.mtx", Ss)
-        write_matrix_market(out / "rhs.mtx", Hs)
+        _, cs = _last_entry(cfg, cfg.make_case(cfg.nus[0]))
+        op = prepare_operator(cs, cfg.solver, {})
+        write_matrix_market(out / "system.mtx", op.matrix)
+        write_matrix_market(out / "rhs.mtx", op.scale(cs.H))
         bpath = out / "block_size.txt"
         with open(bpath, "w", newline="\n") as fh:
             fh.write(f"{cs.facet_block_size}\n")
-        labels = rs_coarsen(strength_graph(Ss, cfg.solver.theta_c)[0])
+        labels = op.hierarchy.levels[0].labels
         pos = lambda_dof_positions(cs)
-        rows = [[i, pos[i, 0], pos[i, 1], "C" if labels[i] else "F"]
-                for i in range(Ss.shape[0])]
+        rows = [[i, pos[i, 0], pos[i, 1],
+                 "C" if labels is None or labels[i] else "F"]
+                for i in range(op.matrix.shape[0])]
         return [out / "system.mtx", out / "rhs.mtx", bpath,
                 _write_csv(out / "cf_labels.csv", ["row", "t", "x", "label"],
                            rows)]

@@ -38,7 +38,8 @@ from .hdg import (assemble_blocks, assemble_load, condense, condense_load,
                   line_trace_evaluator, operator_key, reconstruct, st_l2_error)
 from .krylov import SolverFailure, bicgstab
 from .mesh import extract_slab
-from .sparsela import block_diag_inverse_scale
+# the tracer in perfbench/tracing.py times block scaling under this name
+from .sparsela import BlockDiagonalScaling as block_diag_inverse_scale
 
 __all__ = ["SolverParams", "SolverFailure", "PreparedOperator",
            "CondensedSolve", "SlabSolution", "accepted", "prepare_operator",
@@ -95,11 +96,11 @@ class SolverParams:
 
     tol: float = 1e-12
     maxiter: int = 5000
-    scale_blocks: bool = True
+    relaxation: str = "f_then_all_fgs"
     theta_c: float = 0.2  # coarsening strength threshold
     theta_r: float = 0.3  # restriction neighborhood threshold
-    relaxation: str = "f_then_all_fgs"
-    raise_on_failure: bool = True
+    scale_blocks: bool = True
+    raise_on_failure: bool = True  # for library callers: no INI key
 
     def __post_init__(self):
         _check_field_types(self, lambda name, msg: ValueError(f"{name}: {msg}"))

@@ -25,11 +25,9 @@ from .krylov import SolverFailure
 __all__ = [
     "SingularBlockError",
     "validate_csr",
-    "csr_gather",
     "csr_gatherer",
     "block_diag_csr",
     "BlockDiagonalScaling",
-    "block_diag_inverse_scale",
     "DenseLU",
     "unit_lower_solver",
     "write_matrix_market",
@@ -55,18 +53,14 @@ def validate_csr(A):
     return A
 
 
-def csr_gather(A, rows, cols):
-    """Entries ``A[rows, cols]`` (broadcast index arrays), 0 where absent.
-
-    One binary search of the keys ``row * ncols + col`` in the row-major
-    entry order of ``A``, which must be canonical (see :func:`validate_csr`).
-    """
-    return csr_gatherer(A)(rows, cols)
-
-
 def csr_gatherer(A):
-    """:func:`csr_gather` on ``A`` as a function ``(rows, cols) -> entries``;
-    the keys of ``A`` are built once, for all of its calls."""
+    """The entry lookup of ``A`` as a function ``(rows, cols) -> A[rows, cols]``
+    of broadcast index arrays, 0 where an entry is absent.
+
+    Each call is one binary search of the keys ``row * ncols + col`` in the
+    row-major entry order of ``A``, which must be canonical (see
+    :func:`validate_csr`); the keys are built once, for all calls.
+    """
     ncols = A.shape[1]
     rowid = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     # a key past every entry's, holding 0, ends each search inside the arrays
@@ -106,7 +100,7 @@ class BlockDiagonalScaling:
             raise ValueError("matrix must be square with size divisible by b")
         nb = n // b
         idx = np.arange(n).reshape(nb, b)
-        dense = csr_gather(A, idx[:, :, None], idx[:, None, :])
+        dense = csr_gatherer(A)(idx[:, :, None], idx[:, None, :])
         dets = np.abs(np.linalg.det(dense))
         scale = np.maximum(np.abs(dense).reshape(nb, -1).max(axis=1), 1e-300) ** b
         bad = np.nonzero(dets < 1e-14 * scale)[0]
@@ -119,11 +113,6 @@ class BlockDiagonalScaling:
     def apply(self, v):
         """Apply the block-diagonal inverse to a vector (scale a RHS)."""
         return self._Dinv @ v
-
-
-def block_diag_inverse_scale(A, b):
-    """Build a :class:`BlockDiagonalScaling` for ``A`` with block size ``b``."""
-    return BlockDiagonalScaling(A, b)
 
 
 class DenseLU:

@@ -22,7 +22,7 @@ from sthdg.cases import build_case_mesh, case_by_name, make_layer1d
 from sthdg.experiments import ExperimentConfig, run_converge, run_iterations
 from sthdg.hdg import assemble_blocks, condense, reconstruct, st_l2_error
 from sthdg.solving import SolverParams, solve_condensed, solve_problem
-from sthdg.sparsela import DenseLU, block_diag_inverse_scale
+from sthdg.sparsela import BlockDiagonalScaling, DenseLU
 
 from oracles import ideal_restriction_dense, monolithic
 
@@ -106,7 +106,7 @@ def test_pure_advection_admits_complete_order_and_exact_sweep():
     for nu in (0.0, 1e-2):
         from dataclasses import replace
         cs = condense(assemble_blocks(mesh, 1, replace(base.prob, nu=nu)))
-        scaling = block_diag_inverse_scale(cs.S, cs.facet_block_size)
+        scaling = BlockDiagonalScaling(cs.S, cs.facet_block_size)
         Ss, Hs = scaling.matrix, scaling.apply(cs.H)
         plan = RelaxationPlan(Ss, "ordered_block_gs",
                               block_size=cs.facet_block_size)

@@ -18,8 +18,8 @@ from sthdg.experiments import (ConfigError, ExperimentConfig, defaults_text,
 from sthdg.hdg import assemble_blocks, condense
 from sthdg.krylov import BreakdownError
 from sthdg.mesh import MODES
-from sthdg.solving import (SolverFailure, SolverParams, solve_condensed,
-                           solve_problem)
+from sthdg.solving import (SolverFailure, SolverParams, prepare_operator,
+                           solve_condensed, solve_problem)
 from sthdg.sparsela import SingularBlockError
 
 from oracles import read_matrix_market
@@ -37,11 +37,11 @@ def test_defaults_text_parses_back(tmp_path):
     cp.read_string(defaults_text())
     assert cp["experiment"]["case"] == "pulse1d"
     assert cp["solver"]["tol"] == "1e-12"
-    assert ExperimentConfig.from_ini() == ExperimentConfig()
+    assert ExperimentConfig.from_ini(None, {}) == ExperimentConfig()
     assert ExperimentConfig().solver == SolverParams()
     ini = tmp_path / "defaults.ini"
     ini.write_text(defaults_text())
-    assert ExperimentConfig.from_ini(ini) == ExperimentConfig()
+    assert ExperimentConfig.from_ini(ini, {}) == ExperimentConfig()
 
 
 def test_config_validation_errors():
@@ -89,7 +89,7 @@ def test_nus_and_ladder_entries_are_checked_not_coerced(key, bad):
         cfg(**{key: bad})
     if not isinstance(bad, str):  # from_ini parses a string override
         with pytest.raises(ConfigError, match=rf"^\[experiment\] {key}: must be "):
-            ExperimentConfig.from_ini(overrides={key: bad})
+            ExperimentConfig.from_ini(None, {key: bad})
 
 
 def test_nus_and_ladder_normalise_to_python_numbers():
@@ -103,7 +103,7 @@ def test_empty_nus_is_a_config_error():
     with pytest.raises(ConfigError, match=r"^\[experiment\] nus: "):
         cfg(nus=())
     with pytest.raises(ConfigError, match=r"^\[experiment\] nus: "):
-        ExperimentConfig.from_ini(overrides={"nus": ()})
+        ExperimentConfig.from_ini(None, {"nus": ()})
 
 
 @pytest.mark.parametrize("key, bad", [
@@ -132,21 +132,21 @@ def test_config_from_ini_and_overrides(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\ncase = layer1d\nladder = 4x2,8\n"
                    "[solver]\ntol = 1e-10\n")
-    c = ExperimentConfig.from_ini(ini, overrides={"p": "3"})
+    c = ExperimentConfig.from_ini(ini, {"p": "3"})
     assert c.case == "layer1d" and c.p == 3 and c.solver.tol == 1e-10
     assert c.ladder == ((4, 2), (8, 8))
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(ini, overrides={"bogus": 1})
+        ExperimentConfig.from_ini(ini, {"bogus": 1})
 
 
 def test_config_bool_overrides_parse_words():
-    c = ExperimentConfig.from_ini(overrides={"scale_blocks": "false",
-                                             "deformed": "no"})
+    c = ExperimentConfig.from_ini(None, {"scale_blocks": "false",
+                                         "deformed": "no"})
     assert c.solver.scale_blocks is False and c.deformed is False
-    c = ExperimentConfig.from_ini(overrides={"scale_blocks": "On"})
+    c = ExperimentConfig.from_ini(None, {"scale_blocks": "On"})
     assert c.solver.scale_blocks is True
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(overrides={"scale_blocks": "maybe"})
+        ExperimentConfig.from_ini(None, {"scale_blocks": "maybe"})
 
 
 def test_config_bad_number_overrides_raise_config_error(tmp_path):
@@ -155,12 +155,12 @@ def test_config_bad_number_overrides_raise_config_error(tmp_path):
                       ("nus", "1e-3,x"), ("ladder", "4xq"),
                       ("scale_blocks", "maybe")):
         with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_ini(overrides={key: word})
+            ExperimentConfig.from_ini(None, {key: word})
         section = "solver" if key in ("tol", "scale_blocks") else "experiment"
         ini.write_text(f"[{section}]\n{key} = {word}\n")
         with pytest.raises(ConfigError, match=key):
-            ExperimentConfig.from_ini(ini)
-    c = ExperimentConfig.from_ini(overrides={"p": "3", "tol": "1e-9"})
+            ExperimentConfig.from_ini(ini, {})
+    c = ExperimentConfig.from_ini(None, {"p": "3", "tol": "1e-9"})
     assert c.p == 3 and c.solver.tol == 1e-9
 
 
@@ -168,10 +168,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nfancy = yes\n")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(ini)
+        ExperimentConfig.from_ini(ini, {})
     ini.write_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_ini(ini)
+        ExperimentConfig.from_ini(ini, {})
 
 
 def test_converge_csv_shape_and_determinism(tmp_path):
@@ -320,6 +320,57 @@ def test_export_files_consistent(tmp_path):
     assert {line.split(",")[-1] for line in labels} <= {"C", "F"}
 
 
+def exported_c_points(out):
+    """``cf_labels.csv``'s labels in ``out`` as a C_POINT/F_POINT vector."""
+    rows = (out / "cf_labels.csv").read_text().splitlines()[1:]
+    return np.array([row.endswith(",C") for row in rows], dtype=np.int8)
+
+
+@pytest.mark.parametrize("scale_blocks", [True, False])
+def test_export_writes_the_operator_and_splitting_the_solve_builds(
+        tmp_path, scale_blocks):
+    # export reads the prepared operator, not a second scaling and splitting
+    c = cfg(outdir=str(tmp_path), ladder=((8, 8),),
+            solver=SolverParams(scale_blocks=scale_blocks))
+    run_export(c)
+    case = c.make_case(c.nus[0])
+    mesh = build_case_mesh(case, 8, 8, mode="all_at_once")
+    cs = condense(assemble_blocks(mesh, c.p, case.prob))
+    op = prepare_operator(cs, c.solver, {})
+    assert (op.scaling is not None) == scale_blocks
+    labels = op.hierarchy.levels[0].labels
+    assert labels is not None  # level 0 is coarsened at this size
+    assert exported_c_points(tmp_path).tobytes() == labels.tobytes()
+    S = read_matrix_market(tmp_path / "system.mtx")
+    assert np.array_equal(S.toarray(), op.matrix.toarray())
+    H = read_matrix_market(tmp_path / "rhs.mtx")
+    assert np.array_equal(H, op.scale(cs.H))
+
+
+def test_export_of_a_level_too_small_to_coarsen_labels_every_row_c(tmp_path):
+    # at 2 x 2, p = 1 the 24 rows go whole to the dense coarse solve, which
+    # splits nothing
+    run_export(cfg(outdir=str(tmp_path), ladder=((2, 2),)))
+    labels = exported_c_points(tmp_path)
+    assert len(labels) == 24 and labels.all()
+
+
+def test_cli_export_setup_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # export prepares the operator as a solve does, and fails as one
+    error = AirSetupError("coarsening stagnated at n=400 (n_coarse=0)")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sthdg.solving, "build_hierarchy", fail)
+    small = tmp_path / "small.ini"
+    small.write_text("[experiment]\nladder = 4\n")
+    code = main(["export", "--config", str(small), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"solver failure: {error}\n"
+    assert not (tmp_path / "out" / "timings.txt").exists()
+
+
 def test_cli_runs_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["converge", "--out", str(out), "--case", "polyexact",
@@ -366,9 +417,9 @@ def test_degree_the_case_lacks_is_a_config_error(tmp_path, capsys):
     ini = tmp_path / "p4.ini"
     ini.write_text("[experiment]\ncase = polyexact\np = 4\n")
     with pytest.raises(ConfigError, match=r"^\[experiment\] p: "):
-        ExperimentConfig.from_ini(ini)
+        ExperimentConfig.from_ini(ini, {})
     with pytest.raises(ConfigError, match=r"^\[experiment\] p: "):
-        ExperimentConfig.from_ini(overrides={"case": "polyexact", "p": "4"})
+        ExperimentConfig.from_ini(None, {"case": "polyexact", "p": "4"})
     assert cfg(case="pulse1d", p=4).p == 4  # no fixed degree list there
     out = tmp_path / "out"
     code = main(["converge", "--case", "polyexact", "--p", "4", "--out", str(out)])

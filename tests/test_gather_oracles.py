@@ -3,7 +3,7 @@ loop versions they replaced.
 
 ``strength_graph``, ``lair_restriction`` and the diagonal block
 extraction of ``BlockDiagonalScaling`` read entries of a CSR matrix
-through :func:`sthdg.sparsela.csr_gather`, and ``one_point_interpolation``
+through :func:`sthdg.sparsela.csr_gatherer`, and ``one_point_interpolation``
 builds P without a per-row loop.  The row-by-row and block-by-block
 versions they replaced are kept here as oracles, and the new code must
 reproduce them bitwise: same ``indptr``, ``indices``, ``data`` and lAIR
@@ -34,7 +34,7 @@ from sthdg.air import (C_POINT, F_POINT, MAX_COARSE, MAX_LEVELS,
 from sthdg.cases import build_case_mesh, case_by_name
 from sthdg.hdg import assemble_blocks, condense
 from sthdg.solving import SolverParams
-from sthdg.sparsela import BlockDiagonalScaling, csr_gather, validate_csr
+from sthdg.sparsela import BlockDiagonalScaling, csr_gatherer, validate_csr
 
 
 # -- oracles: the loop versions -------------------------------------------
@@ -437,13 +437,13 @@ def test_csr_gather_matches_dense_lookup(seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 17, (5, 1))
     cols = rng.integers(0, 17, (1, 7))
-    got = csr_gather(A, rows, cols)
+    got = csr_gatherer(A)(rows, cols)
     assert got.shape == (5, 7)
     assert np.array_equal(got, A.toarray()[rows, cols])
     # every stored entry is found, explicit (signed) zeros included
     coo = A.tocoo()
-    assert csr_gather(A, coo.row, coo.col).tobytes() == coo.data.tobytes()
-    assert not csr_gather(sp.csr_matrix((3, 4)), [0, 2], [3, 1]).any()
+    assert csr_gatherer(A)(coo.row, coo.col).tobytes() == coo.data.tobytes()
+    assert not csr_gatherer(sp.csr_matrix((3, 4)))([0, 2], [3, 1]).any()
 
 
 def test_diagonal_blocks_match_loop_with_gaps_and_zeros():

@@ -47,6 +47,31 @@ def test_kernel_builds_wherever_cc_runs():
     assert not unbound, unbound
 
 
+def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path, monkeypatch):
+    # a library serves only its own source and flags, so a stale one would
+    # stay in the cache for good
+    if shutil.which("cc") is None:
+        pytest.skip("no cc to build the kernels")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = [cache / "kernels_0123abcd.so", cache / "unit_lower_4567ef.so"]
+    for path in stale:
+        path.write_bytes(b"not a library")
+    monkeypatch.setattr(sthdg._compiled, "__file__", str(tmp_path / "_compiled.py"))
+
+    def clear():
+        sthdg._compiled._library.cache_clear()
+        sthdg._compiled.kernel.cache_clear()
+
+    clear()
+    try:
+        assert sthdg._compiled.kernel("rs_split") is not None
+    finally:
+        clear()  # the next caller loads the package's own library
+    assert not any(path.exists() for path in stale)
+    assert [path.name[:8] for path in cache.iterdir()] == ["kernels_"]
+
+
 def pulse_levels(nu):
     """(A, labels, block size) of every relaxed level of a p=2, 16x16 pulse1d
     hierarchy."""

@@ -4,9 +4,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from sthdg.air import galerkin_coarse
-from sthdg.sparsela import (DenseLU, SingularBlockError,
-                            block_diag_inverse_scale, validate_csr,
-                            write_matrix_market)
+from sthdg.sparsela import (BlockDiagonalScaling, DenseLU, SingularBlockError,
+                            validate_csr, write_matrix_market)
 
 from oracles import read_matrix_market
 
@@ -32,7 +31,7 @@ def test_block_scaling_unit_diagonal_blocks():
     b = 3
     n = 4 * b
     A = sp.csr_matrix(rng.random((n, n)) + n * np.eye(n))
-    scaling = block_diag_inverse_scale(A, b)
+    scaling = BlockDiagonalScaling(A, b)
     M = scaling.matrix.toarray()
     for k in range(4):
         blk = M[k * b:(k + 1) * b, k * b:(k + 1) * b]
@@ -45,7 +44,7 @@ def test_block_scaling_unit_diagonal_blocks():
 def test_block_scaling_rejects_singular_block():
     A = sp.csr_matrix(np.diag([1.0, 0.0, 2.0, 3.0]))
     with pytest.raises(SingularBlockError):
-        block_diag_inverse_scale(A, 2)
+        BlockDiagonalScaling(A, 2)
 
 
 def test_dense_lu_roundtrip_and_singular():
